@@ -4,11 +4,15 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use optiwise::{report, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats, OptiwiseConfig};
-use wiser_dbi::{instrument_run, DbiConfig};
+use optiwise::{
+    module_fingerprint, report, run_optiwise, Analysis, AnalysisOptions, InsnRow, LoopStats,
+    OptiwiseConfig,
+};
+use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
 use wiser_isa::{assemble, Module};
-use wiser_sampler::{sample_run, sampling_overhead, Attribution, SamplerConfig};
+use wiser_sampler::{sample_run, sampling_overhead, Attribution, SampleProfile, SamplerConfig};
 use wiser_sim::{run_timed, CodeLoc, CoreConfig, LoadConfig, NoProbes, ProcessImage};
+use wiser_store::{Checkpoint, CheckpointSpec};
 use wiser_workloads::InputSize;
 
 fn build(name: &str, size: InputSize) -> Vec<Module> {
@@ -322,11 +326,12 @@ pub struct Fig7Row {
     pub analysis_ms: f64,
     /// Indirect transfers per instruction (drives the worst case).
     pub indirect_share: f64,
-    /// Size of the serialized sample profile (the paper reports ~160 KiB/s
-    /// of perf data at 1 kHz).
+    /// Size of the single-pass `.owp` file `optiwise sample` writes (the
+    /// paper reports ~160 KiB/s of perf data at 1 kHz).
     pub sample_bytes: usize,
-    /// Size of the serialized counts profile (the paper reports ≤ 10 MiB,
-    /// proportional to CFG size, not run time).
+    /// Size of the single-pass `.owp` file `optiwise instrument` writes
+    /// (the paper reports ≤ 10 MiB, proportional to CFG size, not run
+    /// time).
     pub counts_bytes: usize,
 }
 
@@ -340,6 +345,33 @@ pub struct Fig7 {
     pub geomean_instr: f64,
     /// Geometric mean total overhead.
     pub geomean_total: f64,
+}
+
+/// Byte length of the single-pass `.owp` file `optiwise sample` (given
+/// `samples`) or `instrument` (given `counts`) writes for a figure-7 run of
+/// `name`: default sampler and DBI options, seed 0, the experiment's
+/// 500M-instruction budget.
+fn pass_file_len(
+    name: &str,
+    size: InputSize,
+    modules: &[Module],
+    samples: Option<&SampleProfile>,
+    counts: Option<&CountsProfile>,
+) -> usize {
+    let config = OptiwiseConfig {
+        max_insns: 500_000_000,
+        ..OptiwiseConfig::default()
+    };
+    let hash = module_fingerprint(modules);
+    let spec = CheckpointSpec::for_run(&config, hash, name, size.name(), "xeon", &[], 0);
+    let ckpt = Checkpoint {
+        spec,
+        sample_pos: samples.map_or(0, |p| p.retired),
+        counts_pos: counts.map_or(0, CountsProfile::total_insns),
+        samples: samples.cloned(),
+        counts: counts.cloned(),
+    };
+    ckpt.to_bytes().len()
 }
 
 /// Runs the figure 7 experiment over the SPEC-like suite.
@@ -385,8 +417,8 @@ pub fn fig07(size: InputSize) -> Fig7 {
         let indirect_share =
             counts.cost.indirect_execs as f64 / counts.cost.native_insns.max(1) as f64;
 
-        let sample_bytes = samples.to_text().len();
-        let counts_bytes = counts.to_text().len();
+        let sample_bytes = pass_file_len(w.name, size, &modules, Some(&samples), None);
+        let counts_bytes = pass_file_len(w.name, size, &modules, None, Some(&counts));
 
         // Analysis time.
         let linked: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();

@@ -139,7 +139,7 @@ mod imp {
     use optiwise::{module_fingerprint, CancelToken, OptiwiseError, OptiwiseRun};
     use wiser_archive::{Archive, RetentionPolicy};
     use wiser_sim::{CoreConfig, ARCH_NAMES};
-    use wiser_store::{Checkpoint, CheckpointWriter, StoredProfile};
+    use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
     use wiser_workloads::InputSize;
 
     use crate::jsonl::{self, Value};
@@ -658,6 +658,7 @@ mod imp {
         overrides: &[(String, String)],
     ) -> Result<u64, OptiwiseError> {
         let modules = crate::build_named_workload(workload, size)?;
+        let fingerprint = module_fingerprint(&modules);
         let mut config = crate::pipeline_config(&daemon.opts);
         config.rand_seed = seed;
         config.core = core;
@@ -666,11 +667,15 @@ mod imp {
             .opts
             .checkpoint_every
             .unwrap_or(crate::DEFAULT_CHECKPOINT_EVERY);
-        let mut spec = crate::checkpoint_spec(&daemon.opts, workload, &modules, &config, every);
-        spec.size = size.name().to_string();
-        spec.rand_seed = seed;
-        spec.arch = arch.to_string();
-        spec.overrides = overrides.to_vec();
+        let spec = CheckpointSpec::for_run(
+            &config,
+            fingerprint,
+            workload,
+            size.name(),
+            arch,
+            overrides,
+            every,
+        );
         let checkpoint_path = lock(&daemon.archive)
             .checkpoints_dir()
             .join(format!("job-{job_id:06}.owp"));
@@ -700,7 +705,6 @@ mod imp {
         })?;
 
         let stored = StoredProfile::from_run(workload, &run, seed, arch, core);
-        let fingerprint = module_fingerprint(&modules);
         {
             let mut archive = lock(&daemon.archive);
             let run_id = archive.add_run(&stored.to_bytes(), fingerprint)?;

@@ -97,7 +97,17 @@ fn checkpoint_corpus() -> Result<Vec<Vec<u8>>, OptiwiseError> {
     partial.counts = rich.counts;
     partial.sample_pos = 1500;
     partial.counts_pos = 900;
-    Ok(vec![fresh.to_bytes(), partial.to_bytes()])
+    // The single-pass files of the split workflow (`sample`, `instrument`).
+    let mut sample_only = partial.clone();
+    sample_only.counts = None;
+    let mut counts_only = partial.clone();
+    counts_only.samples = None;
+    Ok(vec![
+        fresh.to_bytes(),
+        partial.to_bytes(),
+        sample_only.to_bytes(),
+        counts_only.to_bytes(),
+    ])
 }
 
 fn manifest_corpus() -> Vec<Vec<u8>> {

@@ -4,9 +4,9 @@
 //! optiwise check
 //! optiwise list
 //! optiwise run [OPTIONS] <workload>...       # both passes + report
-//! optiwise sample [OPTIONS] <workload>       # sampling pass only
-//! optiwise instrument [OPTIONS] <workload>   # instrumentation pass only
-//! optiwise analyze [OPTIONS] <workload> --samples F --counts F
+//! optiwise sample [OPTIONS] <workload> --out S.owp      # sampling pass only
+//! optiwise instrument [OPTIONS] <workload> --out C.owp  # instrumentation pass only
+//! optiwise analyze --samples S.owp --counts C.owp       # join the two passes
 //! optiwise annotate [OPTIONS] <workload> --function NAME
 //! optiwise show <profile.owp>                # report a saved profile
 //! optiwise report <profile.owp> [--format json]
@@ -51,7 +51,8 @@
 //!
 //! Exit codes mirror [`OptiwiseError::exit_code`]: 0 success, 2 load or
 //! disassembly failure, 3 execution fault, 4 instruction limit or disallowed
-//! truncation, 5 run divergence (strict mode), 6 profile parse error,
+//! truncation, 5 run divergence (strict mode), 6 corrupt, mismatched or
+//! wrong-pass profile file,
 //! 7 regressions found by `diff --fail-on-regression`, 8 deadline exceeded
 //! or cancelled (SIGINT and SIGTERM both land here), 9 injected crash,
 //! 10 join-bug discrepancies found by `selfcheck`, 11 archive damage
@@ -66,17 +67,17 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use optiwise::{
-    diff_tables, module_fingerprint, reduce_fleet, report, run_optiwise, run_optiwise_ctl,
-    Analysis, AnalysisMode, AnalysisOptions, CancelToken, DiffOptions, OptiwiseConfig,
-    OptiwiseError, OptiwiseRun, Pass, PassEvent, ProfileKind, ProfileTables, ResourceLimits,
-    RunControl, StoreError, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload,
-    DEFAULT_DIVERGENCE_THRESHOLD,
+    diff_tables, module_fingerprint, reduce_fleet, report, run_counts_pass, run_optiwise,
+    run_optiwise_ctl, run_sampling_pass, Analysis, AnalysisMode, AnalysisOptions, CancelCause,
+    CancelToken, DiffOptions, OptiwiseConfig, OptiwiseError, OptiwiseRun, Pass, PassEvent,
+    ProfileTables, ResourceLimits, RunControl, StoreError, SweepCell, SweepConfig, SweepGrid,
+    SweepResult, SweepWorkload,
 };
 use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
-use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
+use wiser_dbi::DbiConfig;
 use wiser_isa::Module;
-use wiser_sampler::{sample_run, Attribution, SampleProfile, SamplerConfig};
-use wiser_sim::{CoreConfig, FaultPlan, LoadConfig, ProcessImage, ARCH_NAMES};
+use wiser_sampler::{Attribution, SamplerConfig};
+use wiser_sim::{CoreConfig, FaultPlan, TruncationReason, ARCH_NAMES};
 use wiser_workloads::InputSize;
 
 struct Options {
@@ -576,25 +577,15 @@ fn checkpoint_spec(
     config: &OptiwiseConfig,
     checkpoint_every: u64,
 ) -> CheckpointSpec {
-    CheckpointSpec {
-        module_hash: module_fingerprint(modules),
-        workload: name.to_string(),
-        size: opts.size.name().to_string(),
-        arch: opts.arch_name.to_string(),
-        overrides: opts.overrides.clone(),
-        rand_seed: opts.seed,
-        period: opts.sampler.period,
-        jitter: opts.sampler.jitter,
-        sampler_seed: opts.sampler.seed,
-        attribution: opts.sampler.attribution,
-        stacks: opts.sampler.stacks,
-        stack_profiling: opts.stack_profiling,
-        merge_threshold: opts.merge_threshold,
-        max_insns: config.max_insns,
-        strict: opts.strict,
-        allow_partial: opts.allow_partial,
+    CheckpointSpec::for_run(
+        config,
+        module_fingerprint(modules),
+        name,
+        opts.size.name(),
+        opts.arch_name,
+        &opts.overrides,
         checkpoint_every,
-    }
+    )
 }
 
 /// Runs the pipeline under a cancellation token, checkpointing to `writer`
@@ -685,6 +676,9 @@ fn cmd_run(opts: Options) -> Result<(), OptiwiseError> {
     }
     let opts = &opts;
     let checkpoint_every = checkpoint_cadence(opts)?;
+    if opts.checkpoint.is_some() {
+        reject_unrecorded_modes(opts, "--checkpoint")?;
+    }
     let modules = build_workload(opts)?;
     let config = pipeline_config(opts);
     let token = make_token(opts);
@@ -961,10 +955,15 @@ fn run_sweep_cell(
     config.core = cell.config.core();
     config.rand_seed = cell.workload.seed;
     let every = opts.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-    let mut spec = checkpoint_spec(opts, &cell.workload.name, &modules, &config, every);
-    spec.arch = cell.config.arch.clone();
-    spec.overrides = cell.config.overrides.clone();
-    spec.rand_seed = cell.workload.seed;
+    let spec = CheckpointSpec::for_run(
+        &config,
+        fingerprint,
+        &cell.workload.name,
+        opts.size.name(),
+        &cell.config.arch,
+        &cell.config.overrides,
+        every,
+    );
     let checkpoint = checkpoints.join(format!("sweep-{}.owp", cell.label()));
     let writer = CheckpointWriter::new(
         &checkpoint,
@@ -1150,27 +1149,7 @@ fn cmd_resume(opts: &Options) -> Result<(), OptiwiseError> {
     let path = path.as_str();
     let ckpt = Checkpoint::load(std::path::Path::new(path))?;
     let spec = ckpt.spec.clone();
-    let size = InputSize::parse(&spec.size).ok_or_else(|| {
-        OptiwiseError::Store(StoreError::in_section(
-            0,
-            "CKPT",
-            format!("unknown input size `{}` in checkpoint", spec.size),
-        ))
-    })?;
-    let modules = build_named_workload(&spec.workload, size)?;
-    let fingerprint = module_fingerprint(&modules);
-    if fingerprint != spec.module_hash {
-        return Err(OptiwiseError::Store(StoreError::in_section(
-            0,
-            "CKPT",
-            format!(
-                "checkpoint was taken against a different build of `{}` \
-                 (module hash {:016x}, current build {:016x}); \
-                 rerun `optiwise run` instead",
-                spec.workload, spec.module_hash, fingerprint
-            ),
-        )));
-    }
+    let (modules, fingerprint) = rebuild_workload(&spec)?;
     let mut config = spec.to_config(opts.jobs)?;
     // Fault injection is never stored in a checkpoint; a resumed leg only
     // gets faults the tests pass explicitly on this command line.
@@ -1250,147 +1229,190 @@ fn module_of(analysis: &Analysis, func: &str) -> u32 {
         .unwrap_or(0)
 }
 
-fn cmd_sample(opts: &Options) -> Result<(), OptiwiseError> {
-    let modules = build_workload(opts)?;
-    let load = LoadConfig {
-        aslr_seed: Some(0x5a5a),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let mut sampler_cfg = opts.sampler;
-    sampler_cfg.fault = opts.fault;
-    let (profile, run) =
-        sample_run(&image, opts.seed, opts.core, sampler_cfg, 200_000_000)?;
-    if let Some(reason) = &profile.truncated {
-        if opts.strict || !opts.allow_partial {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Sampling,
-                reason: reason.clone(),
-            });
-        }
-        eprintln!("optiwise: sampling run truncated ({reason}); emitting partial profile");
+/// Rebuilds the workload a checkpoint spec names and refuses a build other
+/// than the one the spec was recorded against: its stored passes would
+/// describe code this build does not run. Returns the modules and their
+/// fingerprint.
+fn rebuild_workload(spec: &CheckpointSpec) -> Result<(Vec<Module>, u64), OptiwiseError> {
+    let in_ckpt =
+        |message: String| OptiwiseError::Store(StoreError::in_section(0, "CKPT", message));
+    let size = InputSize::parse(&spec.size)
+        .ok_or_else(|| in_ckpt(format!("unknown input size `{}` in checkpoint", spec.size)))?;
+    let modules = build_named_workload(&spec.workload, size)?;
+    let fingerprint = module_fingerprint(&modules);
+    if fingerprint != spec.module_hash {
+        return Err(in_ckpt(format!(
+            "checkpoint was taken against a different build of `{}` \
+             (module hash {:016x}, current build {:016x}); profile it again",
+            spec.workload, spec.module_hash, fingerprint
+        )));
     }
-    eprintln!(
-        "sampled {} cycles, {} samples, overhead estimate {:.3}x",
-        run.stats.cycles,
-        profile.samples.len(),
-        wiser_sampler::sampling_overhead(&profile)
-    );
-    emit(opts, &opts.fault.corrupt(&profile.to_text()))
+    Ok((modules, fingerprint))
 }
 
-fn cmd_instrument(opts: &Options) -> Result<(), OptiwiseError> {
-    let modules = build_workload(opts)?;
-    let load = LoadConfig {
-        aslr_seed: Some(0xa5a5),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let counts = instrument_run(
-        &image,
-        &DbiConfig {
-            stack_profiling: opts.stack_profiling,
-            rand_seed: opts.seed,
-            fault: opts.fault,
-            ..DbiConfig::default()
-        },
-    )?;
-    if let Some(reason) = &counts.truncated {
-        if opts.strict || !opts.allow_partial {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Instrumentation,
-                reason: reason.clone(),
-            });
-        }
-        eprintln!("optiwise: instrumentation run truncated ({reason}); emitting partial profile");
+/// A checkpoint spec records neither `--selective` nor
+/// `--exhaustive-counters`, so any command whose passes outlive the process
+/// (a checkpointed run, the split workflow) would silently drop them.
+fn reject_unrecorded_modes(opts: &Options, what: &str) -> Result<(), OptiwiseError> {
+    if opts.selective || opts.exhaustive_counters {
+        return Err(OptiwiseError::Usage(format!(
+            "{what} cannot be combined with --selective or --exhaustive-counters: \
+             profile files do not record them"
+        )));
     }
-    eprintln!(
-        "counted {} instructions in {} blocks, overhead estimate {:.1}x",
-        counts.cost.native_insns,
-        counts.cost.unique_blocks,
-        counts.cost.overhead()
-    );
-    emit(opts, &opts.fault.corrupt(&counts.to_text()))
+    Ok(())
 }
 
-fn read_file(path: &str) -> Result<String, OptiwiseError> {
-    std::fs::read_to_string(path).map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))
-}
-
-fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
+/// `sample` and `instrument`: one pass of `run` (same ASLR layout, budget
+/// and retries), written to `--out` as a single-pass checkpoint that
+/// `analyze` joins with the other pass and `resume` completes.
+fn cmd_pass(opts: &Options, pass: Pass) -> Result<(), OptiwiseError> {
+    let cmd = match pass {
+        Pass::Sampling => "sample",
+        Pass::Instrumentation => "instrument",
+    };
+    reject_unrecorded_modes(opts, &format!("`{cmd}`"))?;
+    let out = opts
+        .out
+        .as_deref()
+        .ok_or_else(|| OptiwiseError::Usage(format!("`{cmd}` needs --out FILE.owp")))?;
     let modules = build_workload(opts)?;
-    let samples_path = opts
-        .samples_path
-        .as_deref()
-        .ok_or_else(|| OptiwiseError::Usage("analyze needs --samples FILE".into()))?;
-    let counts_path = opts
-        .counts_path
-        .as_deref()
-        .ok_or_else(|| OptiwiseError::Usage("analyze needs --counts FILE".into()))?;
-    let samples_text = read_file(samples_path)?;
-    let counts_text = read_file(counts_path)?;
-    let samples = SampleProfile::from_text(&samples_text).map_err(|error| {
-        OptiwiseError::Parse {
-            kind: ProfileKind::Samples,
-            error,
-        }
-    })?;
-    let counts = CountsProfile::from_text(&counts_text).map_err(|error| {
-        OptiwiseError::Parse {
-            kind: ProfileKind::Counts,
-            error,
-        }
-    })?;
-    // Rebuild the linked view for disassembly/line info.
-    let load = LoadConfig {
-        aslr_seed: Some(0xa5a5),
-        ..LoadConfig::default()
-    };
-    let image = ProcessImage::load(&modules, &load)?;
-    let linked: Vec<Module> = image.modules.iter().map(|m| m.linked.clone()).collect();
-    let analysis_opts = AnalysisOptions {
-        merge_threshold: opts.merge_threshold,
-        jobs: opts.jobs,
-    };
-    // Same recovery ladder as the live pipeline: truncated counts are
-    // discarded and the analysis degrades, unless partials are disallowed.
-    let analysis = match &counts.truncated {
-        Some(reason) if opts.strict || !opts.allow_partial => {
-            return Err(OptiwiseError::Truncated {
-                pass: Pass::Instrumentation,
-                reason: reason.clone(),
-            });
-        }
-        Some(reason) => {
+    let config = pipeline_config(opts);
+    let token = make_token(opts);
+    let spec = checkpoint_spec(opts, &opts.workloads[0], &modules, &config, 0);
+    let mut ckpt = Checkpoint::fresh(spec);
+    let truncated = match pass {
+        Pass::Sampling => {
+            let (profile, _, _) = run_sampling_pass(&modules, &config, &token, 0, None)?;
             eprintln!(
-                "optiwise: counts profile truncated ({reason}); \
-                 degrading to sampling-only analysis"
+                "sampled {} cycles, {} samples, overhead estimate {:.3}x",
+                profile.total_cycles,
+                profile.samples.len(),
+                wiser_sampler::sampling_overhead(&profile)
             );
-            let mut analysis = Analysis::sampling_only(&linked, &samples, analysis_opts)?;
-            analysis.diagnostics.counts_truncated = Some(reason.clone());
-            analysis
+            ckpt.sample_pos = profile.retired;
+            ckpt.samples.insert(profile).truncated.clone()
         }
-        None => {
-            match &samples.truncated {
-                Some(reason) if opts.strict || !opts.allow_partial => {
-                    return Err(OptiwiseError::Truncated {
-                        pass: Pass::Sampling,
-                        reason: reason.clone(),
-                    });
-                }
-                _ => {}
-            }
-            Analysis::try_new(&linked, &samples, &counts, analysis_opts)?
+        Pass::Instrumentation => {
+            let (profile, _, _) = run_counts_pass(&modules, &config, &token, 0, None)?;
+            eprintln!(
+                "counted {} instructions in {} blocks, overhead estimate {:.1}x",
+                profile.cost.native_insns,
+                profile.cost.unique_blocks,
+                profile.cost.overhead()
+            );
+            ckpt.counts_pos = profile.total_insns();
+            ckpt.counts.insert(profile).truncated.clone()
         }
     };
-    if opts.strict && analysis.diagnostics.diverged(DEFAULT_DIVERGENCE_THRESHOLD) {
-        return Err(OptiwiseError::Divergence {
-            score: analysis.diagnostics.divergence_score,
-            threshold: DEFAULT_DIVERGENCE_THRESHOLD,
-            summary: analysis.diagnostics.summary(),
-        });
+    let bytes = opts.fault.corrupt_bytes(&ckpt.to_bytes());
+    wiser_store::atomic_write(std::path::Path::new(out), &bytes)
+        .map_err(|e| OptiwiseError::Io(format!("writing {out}: {e}")))?;
+    match truncated {
+        Some(TruncationReason::Cancelled(retired)) => Err(OptiwiseError::DeadlineExceeded {
+            retired,
+            deadline: matches!(token.cause(), Some(CancelCause::Deadline)),
+        }),
+        Some(reason) => {
+            eprintln!("optiwise: {pass} run truncated ({reason}); wrote the partial profile");
+            Ok(())
+        }
+        None => Ok(()),
     }
-    emit(opts, &report::full_report(&analysis, opts.top))
+}
+
+/// Loads one file of the split workflow and checks that it holds the pass
+/// `flag` asks for. A missing or interrupted pass fails with exit code 6,
+/// naming the section and where it is (or would be) in the file.
+fn load_pass_file(path: Option<&str>, flag: &str, pass: Pass) -> Result<Checkpoint, OptiwiseError> {
+    let path =
+        path.ok_or_else(|| OptiwiseError::Usage(format!("`analyze` needs {flag} FILE.owp")))?;
+    let data = std::fs::read(path).map_err(|e| OptiwiseError::Io(format!("{path}: {e}")))?;
+    let ckpt = Checkpoint::from_bytes(&data)?;
+    let (tag, writer, truncated) = match pass {
+        Pass::Sampling => (
+            "SAMP",
+            "sample",
+            ckpt.samples.as_ref().map(|p| &p.truncated),
+        ),
+        Pass::Instrumentation => (
+            "CNTS",
+            "instrument",
+            ckpt.counts.as_ref().map(|p| &p.truncated),
+        ),
+    };
+    let problem = match truncated {
+        None => {
+            format!("{path} holds no {pass} pass; {flag} takes the file `{writer} --out` writes")
+        }
+        Some(Some(TruncationReason::Cancelled(_))) => format!(
+            "{path} holds an interrupted {pass} pass; complete it with `optiwise resume {path}`"
+        ),
+        Some(_) => return Ok(ckpt),
+    };
+    let at = wiser_store::section_spans(&data)?
+        .into_iter()
+        .find(|(t, _, _)| t == tag)
+        .map_or(data.len() as u64, |(_, start, _)| start);
+    Err(StoreError::in_section(at, tag, problem).into())
+}
+
+/// `analyze`: joins the files `sample` and `instrument` wrote. Both must
+/// record the same spec; the workload is rebuilt from it and the two
+/// passes are restored into the pipeline, so the report is the one `run`
+/// prints with the same flags, recovery ladder included. `--strict` and
+/// `--no-partial` tighten what the files recorded.
+fn cmd_analyze(opts: &Options) -> Result<(), OptiwiseError> {
+    reject_unrecorded_modes(opts, "`analyze`")?;
+    if !opts.workloads.is_empty() {
+        return Err(OptiwiseError::Usage(
+            "`analyze` takes no workload: the profile files name it".into(),
+        ));
+    }
+    let samples = load_pass_file(opts.samples_path.as_deref(), "--samples", Pass::Sampling)?;
+    let counts = load_pass_file(
+        opts.counts_path.as_deref(),
+        "--counts",
+        Pass::Instrumentation,
+    )?;
+    if samples.spec != counts.spec {
+        let describe = |s: &CheckpointSpec| {
+            format!(
+                "{} --size {} --arch {} --seed {}",
+                s.workload, s.size, s.arch, s.rand_seed
+            )
+        };
+        let (a, b) = (describe(&samples.spec), describe(&counts.spec));
+        let what = if a == b {
+            "the same run with different profiling options".into()
+        } else {
+            format!("{a} vs {b}")
+        };
+        return Err(OptiwiseError::Store(StoreError::in_section(
+            0,
+            "CKPT",
+            format!("--samples and --counts were recorded for different runs ({what})"),
+        )));
+    }
+    let spec = samples.spec;
+    let (modules, fingerprint) = rebuild_workload(&spec)?;
+    let mut config = spec.to_config(opts.jobs)?;
+    config.strict |= opts.strict;
+    config.allow_partial &= opts.allow_partial;
+    let resume = optiwise::ResumeState {
+        samples: samples.samples,
+        counts: counts.counts,
+    };
+    let run = run_with_control(&modules, &config, &make_token(opts), 0, None, resume)?;
+    render_run(
+        opts,
+        &spec.workload,
+        spec.rand_seed,
+        &spec.arch,
+        config.core,
+        fingerprint,
+        &run,
+    )
 }
 
 fn cmd_annotate(opts: &Options) -> Result<(), OptiwiseError> {
@@ -1938,9 +1960,15 @@ commands:
   run <workload>...     sample + instrument + fused report; several
                         workloads run concurrently (see --jobs) and their
                         reports merge in command-line order
-  sample <workload>     sampling pass; write profile text
-  instrument <workload> instrumentation pass; write counts text
-  analyze <workload> --samples F --counts F
+  sample <workload> --out S.owp
+                        sampling pass only, as `run` runs it; writes a
+                        single-pass checkpoint
+  instrument <workload> --out C.owp
+                        instrumentation pass only, likewise
+  analyze --samples S.owp --counts C.owp
+                        join the two passes into the report `run` prints
+                        with the same flags; both files must record the
+                        same workload build and options (else exit 6)
   annotate <workload> --function NAME
   show <profile.owp>    report a saved binary profile
   report <profile.owp>  tables from a saved profile (--format text|json)
@@ -2020,7 +2048,9 @@ options:
   --selective             two-phase pipeline: the sampling pass runs first and
                           only functions above --hot-threshold of its samples
                           are fully instrumented; cold code is attributed from
-                          samples only and marked `sampling-only` in the report
+                          samples only and marked `sampling-only` in the report;
+                          not with --checkpoint or sample/instrument/analyze,
+                          whose files do not record it (nor the next flag)
   --hot-threshold F       (run/selfcheck, with --selective) hotness cutoff as a
                           fraction of total samples, 0..=1 (default: 0.01)
   --exhaustive-counters   disable minimal counter placement: charge one counter
@@ -2066,7 +2096,7 @@ options:
                           beyond these limits (quarantine is never touched)
 exit codes:
   0 ok   2 load/disasm   3 exec fault   4 truncated   5 divergence
-  6 parse error   7 regression   8 deadline/cancelled (SIGINT or SIGTERM)
+  6 bad profile file   7 regression   8 deadline/cancelled (SIGINT or SIGTERM)
   9 injected crash   10 selfcheck join bug   11 archive repaired by fsck
   12 archive unrepairable   13 fuzz invariant violation   1 usage/other
 ";
@@ -2102,8 +2132,8 @@ pub fn cli_main() -> ExitCode {
             Ok(opts) => match cmd {
                 "run" => cmd_run(opts),
                 "sweep" => cmd_sweep(opts),
-                "sample" => cmd_sample(&opts),
-                "instrument" => cmd_instrument(&opts),
+                "sample" => cmd_pass(&opts, Pass::Sampling),
+                "instrument" => cmd_pass(&opts, Pass::Instrumentation),
                 "analyze" => cmd_analyze(&opts),
                 "annotate" => cmd_annotate(&opts),
                 "show" => cmd_show(&opts),
@@ -2396,7 +2426,7 @@ mod tests {
         assert_eq!(o.fault.seed, 7);
         assert_eq!(o.fault.drop_sample_pct, 25);
         assert_eq!(o.fault.truncate_counts_at, Some(5000));
-        assert!(o.fault.corrupt_text);
+        assert!(o.fault.corrupt_output);
         assert!(parse(&["--inject", "explode=now"]).is_err());
     }
 }

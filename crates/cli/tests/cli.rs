@@ -1,6 +1,7 @@
 //! End-to-end tests of the `optiwise` binary, driving the same workflows
 //! the paper's artifact documents.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn optiwise(args: &[&str]) -> std::process::Output {
@@ -37,44 +38,117 @@ fn run_produces_report() {
     assert!(stdout.contains("-- functions --"));
 }
 
-#[test]
-fn split_sample_instrument_analyze_workflow() {
-    let dir = std::env::temp_dir().join("optiwise-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.txt");
-    let counts = dir.join("counts.txt");
+/// Runs `sample` and `instrument` with `flags` into `dir`, returning the
+/// two single-pass files.
+fn split_passes(dir: &Path, tag: &str, flags: &[&str]) -> (PathBuf, PathBuf) {
+    let samples = dir.join(format!("{tag}-s.owp"));
+    let counts = dir.join(format!("{tag}-c.owp"));
+    for (cmd, file) in [("sample", &samples), ("instrument", &counts)] {
+        let mut args = vec![cmd];
+        args.extend(flags);
+        args.extend(["--out", file.to_str().unwrap()]);
+        let out = optiwise(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+    }
+    (samples, counts)
+}
 
-    let out = optiwise(&[
-        "sample",
-        "stack_attr",
-        "--size",
-        "test",
-        "--out",
-        samples.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
-        "instrument",
-        "stack_attr",
-        "--size",
-        "test",
-        "--out",
-        counts.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let out = optiwise(&[
+fn analyze(samples: &Path, counts: &Path, extra: &[&str]) -> std::process::Output {
+    let mut args = vec![
         "analyze",
-        "stack_attr",
-        "--size",
-        "test",
         "--samples",
         samples.to_str().unwrap(),
         "--counts",
         counts.to_str().unwrap(),
+    ];
+    args.extend(extra);
+    optiwise(&args)
+}
+
+#[test]
+fn split_workflow_matches_run_and_rejects_bad_files() {
+    let dir = std::env::temp_dir().join(format!("optiwise-split-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let report_of = |args: &[&str]| {
+        let out = optiwise(args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        out.stdout
+    };
+
+    // 1. sample + instrument + analyze prints exactly the report `run`
+    //    prints with the same flags.
+    for (tag, flags) in [
+        ("stack", vec!["stack_attr", "--size", "test"]),
+        ("mcf", vec!["mcf_like", "--size", "test", "--arch", "neoverse", "--seed", "3"]),
+    ] {
+        let mut run = vec!["run"];
+        run.extend(&flags);
+        let expected = report_of(&run);
+        let (samples, counts) = split_passes(&dir, tag, &flags);
+        let out = analyze(&samples, &counts, &[]);
+        assert!(out.status.success(), "{out:?}");
+        assert_eq!(out.stdout, expected, "{tag}: split report differs from `run`");
+    }
+
+    // 2. A sample-only file is a checkpoint: resuming it runs the missing
+    //    pass and again matches `run`.
+    let expected = report_of(&["run", "stack_attr", "--size", "test"]);
+    let (samples, counts) = split_passes(&dir, "stack", &["stack_attr", "--size", "test"]);
+    let resumable = dir.join("resumable.owp");
+    std::fs::copy(&samples, &resumable).unwrap();
+    assert_eq!(report_of(&["resume", resumable.to_str().unwrap()]), expected);
+
+    // 3. Swapped, corrupted and mismatched files exit 6, naming a section
+    //    and a byte offset.
+    let corrupt = dir.join("corrupt-c.owp");
+    let out = optiwise(&[
+        "instrument", "stack_attr", "--size", "test", "--inject", "corrupt",
+        "--out", corrupt.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("func3"), "{stdout}");
+    let (_, other_seed) = split_passes(&dir, "seed9", &["stack_attr", "--size", "test", "--seed", "9"]);
+    for (what, s, c, expect) in [
+        ("swapped", &counts, &samples, "holds no sampling pass"),
+        ("corrupted", &samples, &corrupt, "checksum mismatch"),
+        ("mismatched seed", &samples, &other_seed, "--seed 0 vs stack_attr --size test --arch xeon --seed 9"),
+    ] {
+        let out = analyze(s, c, &[]);
+        assert_eq!(out.status.code(), Some(6), "{what}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{what}: {stderr}");
+        assert!(stderr.contains("parse error at byte"), "{what}: {stderr}");
+        assert!(stderr.contains("(section "), "{what}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn persisted_passes_reject_modes_their_files_cannot_record() {
+    // A checkpoint spec records neither --selective nor
+    // --exhaustive-counters; resuming such a checkpoint silently ran the
+    // default modes and produced a different profile. Every command whose
+    // passes outlive the process refuses them up front instead.
+    let dir = std::env::temp_dir().join(format!("optiwise-modes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ck = dir.join("ck.owp");
+    let ck = ck.to_str().unwrap();
+    for mode in ["--selective", "--exhaustive-counters"] {
+        for args in [
+            vec!["run", "stack_attr", "--size", "test", "--checkpoint", ck, mode],
+            vec!["sample", "stack_attr", "--size", "test", "--out", ck, mode],
+            vec!["instrument", "stack_attr", "--size", "test", "--out", ck, mode],
+            vec!["analyze", "--samples", ck, "--counts", ck, mode],
+        ] {
+            let out = optiwise(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains("do not record"), "{args:?}: {stderr}");
+            assert!(!Path::new(ck).exists(), "{args:?} wrote a file");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -150,33 +224,24 @@ fn injected_truncation_degrades_run_but_fails_strict() {
 }
 
 #[test]
-fn corrupted_profile_exits_with_parse_code() {
-    let dir = std::env::temp_dir().join("optiwise-corrupt-test");
+fn truncated_counts_file_degrades_analyze_like_run() {
+    // The split workflow hands the truncated counts profile to the same
+    // recovery ladder: the identical DEGRADED report, or exit 4 strict.
+    let dir = std::env::temp_dir().join(format!("optiwise-split-trunc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let samples = dir.join("samples.txt");
-    let counts = dir.join("counts.txt");
-    let out = optiwise(&[
-        "sample", "stack_attr", "--size", "test",
-        "--out", samples.to_str().unwrap(),
-    ]);
+    let flags = ["loop_merge", "--size", "test", "--inject", "truncate-counts=2000"];
+    let mut run = vec!["run"];
+    run.extend(flags);
+    let expected = optiwise(&run);
+    assert!(expected.status.success(), "{expected:?}");
+    let (samples, counts) = split_passes(&dir, "trunc", &flags);
+    let out = analyze(&samples, &counts, &[]);
     assert!(out.status.success(), "{out:?}");
-    // Emit a deterministically corrupted counts profile...
-    let out = optiwise(&[
-        "instrument", "stack_attr", "--size", "test",
-        "--inject", "corrupt",
-        "--out", counts.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    // ...and analyzing it fails with the parse exit code and a line number.
-    let out = optiwise(&[
-        "analyze", "stack_attr", "--size", "test",
-        "--samples", samples.to_str().unwrap(),
-        "--counts", counts.to_str().unwrap(),
-    ]);
-    assert_eq!(out.status.code(), Some(6), "{out:?}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("parse error"), "{stderr}");
-    assert!(stderr.contains("line"), "{stderr}");
+    assert_eq!(out.stdout, expected.stdout);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("DEGRADED"));
+    let out = analyze(&samples, &counts, &["--strict"]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -39,11 +39,12 @@ pub use analysis::{
 };
 pub use blocks::{block_stats, blocks_table, BlockStats};
 pub use diff::{diff_tables, DiffClass, DiffMetric, DiffOptions, DiffReport, DiffRow, DiffSide};
-pub use error::{OptiwiseError, Pass, ProfileKind, StoreError};
+pub use error::{OptiwiseError, Pass, StoreError};
 pub use limits::ResourceLimits;
 pub use runner::{
-    module_fingerprint, run_optiwise, run_optiwise_ctl, OptiwiseConfig, OptiwiseRun, PassEvent,
-    ResumeState, RetryPolicy, RunControl, DEFAULT_HOT_THRESHOLD,
+    module_fingerprint, run_counts_pass, run_optiwise, run_optiwise_ctl, run_sampling_pass,
+    OptiwiseConfig, OptiwiseRun, PassEvent, ResumeState, RetryPolicy, RunControl,
+    DEFAULT_HOT_THRESHOLD,
 };
 pub use sweep::{reduce_fleet, SweepCell, SweepConfig, SweepGrid, SweepResult, SweepWorkload};
 pub use wiser_sim::{CancelCause, CancelToken};

@@ -132,12 +132,16 @@ pub struct RunControl<'a> {
     pub resume: ResumeState,
 }
 
-/// Completed passes restored from a checkpoint.
+/// Passes restored from disk instead of executed.
 ///
-/// Only a pass that *finished* (its stored profile has `truncated = None`)
-/// may be restored — a partial profile is deliberately absent here because
-/// resume replays incomplete passes from instruction zero, which is what
-/// makes a resumed run byte-identical to an uninterrupted one.
+/// A restored profile enters the pipeline exactly as a freshly run one
+/// would, including the recovery ladder of [`run_optiwise`]: `optiwise
+/// analyze` hands over the profiles of single-pass files as they are, so a
+/// truncated counts profile degrades the analysis to sampling-only. Resume
+/// restores only passes that *finished* — `Checkpoint::resume_state` leaves
+/// partial profiles out and those passes replay from instruction zero,
+/// which is what makes a resumed run byte-identical to an uninterrupted
+/// one.
 #[derive(Default)]
 pub struct ResumeState {
     /// Completed sampling profile to restore, if any.
@@ -252,6 +256,11 @@ impl Default for OptiwiseConfig {
 /// Default [`OptiwiseConfig::hot_threshold`]: 1% of total sample weight.
 pub const DEFAULT_HOT_THRESHOLD: f64 = 0.01;
 
+/// Module-relative text spans to fully instrument under `--selective`.
+type SelectiveRanges = Vec<(ModuleId, u64, u64)>;
+/// `(module index, function name)` keys of the fully-counted hot set.
+type HotSet = HashSet<(u32, String)>;
+
 /// Ranks functions by self sample weight and splits them at `hot_threshold`.
 ///
 /// Returns the instrumentation ranges (module-relative text spans) of the
@@ -262,11 +271,6 @@ pub const DEFAULT_HOT_THRESHOLD: f64 = 0.01;
 /// Everything here is a deterministic function of the sampling profile and
 /// the module list, so selective runs inherit the pipeline's bit-identical
 /// reproducibility.
-/// Module-relative text spans to fully instrument under `--selective`.
-type SelectiveRanges = Vec<(ModuleId, u64, u64)>;
-/// `(module index, function name)` keys of the fully-counted hot set.
-type HotSet = HashSet<(u32, String)>;
-
 fn plan_selective(
     modules: &[Module],
     samples: &SampleProfile,
@@ -302,6 +306,152 @@ fn plan_selective(
         }
     }
     Some((ranges, hot))
+}
+
+/// Runs `attempt` at `budget`, re-running it at an escalated budget while
+/// `retry` allows. `attempt` returns its result, the instructions it spent
+/// and how it was cut short; the final result comes back with the number
+/// of attempts.
+fn with_retries<T>(
+    retry: &RetryPolicy,
+    mut budget: u64,
+    mut attempt: impl FnMut(u64) -> Result<(T, u64, Option<TruncationReason>), OptiwiseError>,
+) -> Result<(T, u32), OptiwiseError> {
+    let mut attempts = 0u32;
+    let mut spent = 0u64;
+    loop {
+        attempts += 1;
+        let (result, used, truncated) = attempt(budget)?;
+        spent += used;
+        let escalated = budget.saturating_mul(retry.budget_multiplier);
+        match truncated {
+            Some(reason) if retry.may_retry(attempts, spent, escalated, &reason) => {
+                budget = escalated;
+            }
+            _ => return Ok((result, attempts)),
+        }
+    }
+}
+
+/// The sampling pass (run 1): the timing model and sampler under the first
+/// ASLR layout, re-run with an escalated budget per `config.retry` while its
+/// instruction budget is what cut it short.
+///
+/// `observer` receives a [`PassEvent::SampleCheckpoint`] every
+/// `checkpoint_every` committed instructions (0 disables them) and one
+/// [`PassEvent::SampleDone`] when the pass settles. Returns the final
+/// profile, possibly truncated, the last attempt's timing summary and the
+/// number of attempts. [`run_optiwise_ctl`] and the CLI's `sample` command
+/// both run the pass through here.
+///
+/// # Errors
+///
+/// Loader and simulator failures, including [`OptiwiseError::Killed`] for
+/// an injected crash.
+pub fn run_sampling_pass(
+    modules: &[Module],
+    config: &OptiwiseConfig,
+    cancel: &CancelToken,
+    checkpoint_every: u64,
+    observer: Option<&(dyn Fn(PassEvent<'_>) + Sync)>,
+) -> Result<(SampleProfile, TimedRun, u32), OptiwiseError> {
+    let load = LoadConfig {
+        aslr_seed: Some(config.aslr_seeds.0),
+        ..LoadConfig::default()
+    };
+    let image = ProcessImage::load(modules, &load)?;
+    let mut sampler_cfg = config.sampler;
+    sampler_cfg.fault = config.fault;
+    let ((samples, timed), attempts) = with_retries(&config.retry, config.max_insns, |budget| {
+        let mut sink = |retired: u64, profile: SampleProfile| {
+            if let Some(obs) = observer {
+                obs(PassEvent::SampleCheckpoint { retired, profile });
+            }
+        };
+        let pass_ctl = SamplePassControl {
+            cancel: Some(cancel),
+            checkpoint_every,
+            sink: observer.is_some().then_some(&mut sink as _),
+        };
+        let (samples, timed) = sample_run_ctl(
+            &image,
+            config.rand_seed,
+            config.core,
+            sampler_cfg,
+            budget,
+            pass_ctl,
+        )?;
+        let (spent, truncated) = (timed.stats.retired, samples.truncated.clone());
+        Ok(((samples, timed), spent, truncated))
+    })?;
+    if let Some(obs) = observer {
+        obs(PassEvent::SampleDone { profile: &samples });
+    }
+    Ok((samples, timed, attempts))
+}
+
+/// The process image of the instrumentation pass (the second ASLR layout)
+/// and its linked, module-relative view that the analysis keys on.
+fn instrumentation_image(
+    modules: &[Module],
+    config: &OptiwiseConfig,
+) -> Result<(ProcessImage, Vec<Module>), OptiwiseError> {
+    let load = LoadConfig {
+        aslr_seed: Some(config.aslr_seeds.1),
+        ..LoadConfig::default()
+    };
+    let image = ProcessImage::load(modules, &load)?;
+    let linked = image.modules.iter().map(|m| m.linked.clone()).collect();
+    Ok((image, linked))
+}
+
+/// The instrumentation pass (run 2): the DBI engine under the second ASLR
+/// layout, retried like [`run_sampling_pass`]. `config.dbi.selective`
+/// restricts full counting to the listed text spans, and the fault plan's
+/// desync seed (if any) deliberately runs the pass on different input.
+///
+/// Events mirror the sampling pass ([`PassEvent::CountsCheckpoint`],
+/// [`PassEvent::CountsDone`]). Returns the final profile, possibly
+/// truncated, the linked modules the analysis keys on and the number of
+/// attempts. The raw profile carries no counter placement: the pipeline
+/// applies it after the pass.
+///
+/// # Errors
+///
+/// As [`run_sampling_pass`].
+pub fn run_counts_pass(
+    modules: &[Module],
+    config: &OptiwiseConfig,
+    cancel: &CancelToken,
+    checkpoint_every: u64,
+    observer: Option<&(dyn Fn(PassEvent<'_>) + Sync)>,
+) -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
+    let (image, linked) = instrumentation_image(modules, config)?;
+    let (counts, attempts) = with_retries(&config.retry, config.max_insns, |budget| {
+        let dbi_cfg = DbiConfig {
+            rand_seed: config.fault.desync_rand_seed.unwrap_or(config.rand_seed),
+            max_insns: budget,
+            fault: config.fault,
+            ..config.dbi.clone()
+        };
+        let mut sink = |retired: u64, profile: CountsProfile| {
+            if let Some(obs) = observer {
+                obs(PassEvent::CountsCheckpoint { retired, profile });
+            }
+        };
+        let pass_ctl = CountsPassControl {
+            cancel: Some(cancel),
+            checkpoint_every,
+            sink: observer.is_some().then_some(&mut sink as _),
+        };
+        let counts = instrument_run_ctl(&image, &dbi_cfg, pass_ctl)?;
+        let (spent, truncated) = (counts.total_insns(), counts.truncated.clone());
+        Ok((counts, spent, truncated))
+    })?;
+    if let Some(obs) = observer {
+        obs(PassEvent::CountsDone { profile: &counts });
+    }
+    Ok((counts, linked, attempts))
 }
 
 /// Everything OptiWISE produced for one program.
@@ -412,130 +562,40 @@ pub fn run_optiwise_ctl(
     } = resume;
     let cancel = &cancel;
 
-    // Pass 1: sampling on the timing model, retrying on budget exhaustion.
-    let sampling_pass = move || -> Result<(SampleProfile, TimedRun, u32), OptiwiseError> {
-        if let Some(prior) = restored_samples {
-            // Restored from a checkpoint: the profile is used verbatim and
-            // the timing summary is synthesized from its totals (nothing
-            // downstream reads deeper pipeline statistics from a resumed
-            // run). Re-announce it so a continuing checkpoint keeps it.
-            let timed = TimedRun {
-                stats: CoreStats {
-                    cycles: prior.total_cycles,
-                    retired: prior.retired,
-                    ..CoreStats::default()
-                },
-                exit_code: None,
-                output: String::new(),
-            };
-            if let Some(obs) = observer {
-                obs(PassEvent::SampleDone { profile: &prior });
-            }
-            return Ok((prior, timed, 0));
-        }
-        let load_a = LoadConfig {
-            aslr_seed: Some(config.aslr_seeds.0),
-            ..LoadConfig::default()
+    // A restored pass is used verbatim and re-announced, so a continuing
+    // checkpoint keeps it; only the other pass executes.
+    let sampling = move || -> Result<(SampleProfile, TimedRun, u32), OptiwiseError> {
+        let Some(prior) = restored_samples else {
+            return run_sampling_pass(modules, config, cancel, checkpoint_every, observer);
         };
-        let image_a = ProcessImage::load(modules, &load_a)?;
-        let mut sampler_cfg = config.sampler;
-        sampler_cfg.fault = config.fault;
-        let mut budget = config.max_insns;
-        let mut attempts = 0u32;
-        let mut spent = 0u64;
-        loop {
-            attempts += 1;
-            let mut sink = |retired: u64, profile: SampleProfile| {
-                if let Some(obs) = observer {
-                    obs(PassEvent::SampleCheckpoint { retired, profile });
-                }
-            };
-            let pass_ctl = SamplePassControl {
-                cancel: Some(cancel),
-                checkpoint_every,
-                sink: observer.is_some().then_some(&mut sink as _),
-            };
-            let (samples, timed) = sample_run_ctl(
-                &image_a,
-                config.rand_seed,
-                config.core,
-                sampler_cfg,
-                budget,
-                pass_ctl,
-            )?;
-            spent += timed.stats.retired;
-            let escalated = budget.saturating_mul(config.retry.budget_multiplier);
-            match &samples.truncated {
-                Some(reason) if config.retry.may_retry(attempts, spent, escalated, reason) => {
-                    budget = escalated;
-                }
-                _ => {
-                    if let Some(obs) = observer {
-                        obs(PassEvent::SampleDone { profile: &samples });
-                    }
-                    break Ok((samples, timed, attempts));
-                }
-            }
+        // Nothing downstream reads deeper pipeline statistics from a
+        // restored pass, so the timing summary is synthesized from its
+        // totals.
+        let timed = TimedRun {
+            stats: CoreStats {
+                cycles: prior.total_cycles,
+                retired: prior.retired,
+                ..CoreStats::default()
+            },
+            exit_code: None,
+            output: String::new(),
+        };
+        if let Some(obs) = observer {
+            obs(PassEvent::SampleDone { profile: &prior });
         }
+        Ok((prior, timed, 0))
     };
-
-    // Pass 2: instrumentation, under a different layout. The fault plan's
-    // desync seed (if any) deliberately runs this pass on different input.
-    // Also returns the linked (module-relative) view the analysis keys on.
-    // `selective_ranges` (from `plan_selective`) restricts full counting to
-    // the listed text spans; `None` counts everything.
-    let counts_pass = move |selective_ranges: Option<Vec<(ModuleId, u64, u64)>>|
-          -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
-        let load_b = LoadConfig {
-            aslr_seed: Some(config.aslr_seeds.1),
-            ..LoadConfig::default()
-        };
-        let image_b = ProcessImage::load(modules, &load_b)?;
-        let linked: Vec<Module> = image_b.modules.iter().map(|m| m.linked.clone()).collect();
-        if let Some(prior) = restored_counts {
+    let counts =
+        move |config: &OptiwiseConfig| -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
+            let Some(prior) = restored_counts else {
+                return run_counts_pass(modules, config, cancel, checkpoint_every, observer);
+            };
+            let (_, linked) = instrumentation_image(modules, config)?;
             if let Some(obs) = observer {
                 obs(PassEvent::CountsDone { profile: &prior });
             }
-            return Ok((prior, linked, 0));
-        }
-        let dbi_rand_seed = config.fault.desync_rand_seed.unwrap_or(config.rand_seed);
-        let mut budget = config.max_insns;
-        let mut attempts = 0u32;
-        let mut spent = 0u64;
-        let counts = loop {
-            attempts += 1;
-            let dbi_cfg = DbiConfig {
-                rand_seed: dbi_rand_seed,
-                max_insns: budget,
-                fault: config.fault,
-                selective: selective_ranges.clone().or_else(|| config.dbi.selective.clone()),
-                ..config.dbi.clone()
-            };
-            let mut sink = |retired: u64, profile: CountsProfile| {
-                if let Some(obs) = observer {
-                    obs(PassEvent::CountsCheckpoint { retired, profile });
-                }
-            };
-            let pass_ctl = CountsPassControl {
-                cancel: Some(cancel),
-                checkpoint_every,
-                sink: observer.is_some().then_some(&mut sink as _),
-            };
-            let counts = instrument_run_ctl(&image_b, &dbi_cfg, pass_ctl)?;
-            spent += counts.total_insns();
-            let escalated = budget.saturating_mul(config.retry.budget_multiplier);
-            match &counts.truncated {
-                Some(reason) if config.retry.may_retry(attempts, spent, escalated, reason) => {
-                    budget = escalated;
-                }
-                _ => break counts,
-            }
+            Ok((prior, linked, 0))
         };
-        if let Some(obs) = observer {
-            obs(PassEvent::CountsDone { profile: &counts });
-        }
-        Ok((counts, linked, attempts))
-    };
 
     // The two passes are independent executions of the same program with
     // their own process images and retry loops, so they can overlap. Errors
@@ -547,18 +607,21 @@ pub fn run_optiwise_ctl(
     // the passes run sequentially and the hot set flows into both the DBI
     // config and the analysis' coverage marking.
     let (sampling_result, counts_result, hot_set) = if config.selective {
-        let sampled = sampling_pass()?;
-        let (ranges, hot) = match plan_selective(modules, &sampled.0, config.hot_threshold) {
-            Some((ranges, hot)) => (Some(ranges), Some(hot)),
+        let sampled = sampling()?;
+        let (counts_result, hot) = match plan_selective(modules, &sampled.0, config.hot_threshold) {
+            Some((ranges, hot)) => {
+                let mut narrowed = config.clone();
+                narrowed.dbi.selective = Some(ranges);
+                (counts(&narrowed), Some(hot))
+            }
             // No sample weight to rank by: instrument everything.
-            None => (None, None),
+            None => (counts(config), None),
         };
-        let counts_result = counts_pass(ranges);
         (Ok(sampled), counts_result, hot)
     } else if config.concurrent_passes {
         let (s, c) = std::thread::scope(|scope| {
-            let dbi_thread = scope.spawn(move || counts_pass(None));
-            let sampling_result = sampling_pass();
+            let dbi_thread = scope.spawn(move || counts(config));
+            let sampling_result = sampling();
             let counts_result = dbi_thread
                 .join()
                 .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
@@ -566,7 +629,7 @@ pub fn run_optiwise_ctl(
         });
         (s, c, None)
     } else {
-        (sampling_pass(), counts_pass(None), None)
+        (sampling(), counts(config), None)
     };
     let (samples, timed, sample_attempts) = sampling_result?;
     let (mut counts, linked, count_attempts) = counts_result?;

@@ -1,5 +1,7 @@
 //! Crash-consistent run checkpoints: the document behind
-//! `optiwise run --checkpoint FILE` and `optiwise resume`.
+//! `optiwise run --checkpoint FILE` and `optiwise resume`, and — holding a
+//! single completed pass — the file `optiwise sample` and `instrument`
+//! write and `optiwise analyze` joins.
 //!
 //! A checkpoint is an `.owp` container (same framing, CRCs and atomic-write
 //! discipline as a stored profile) holding:
@@ -90,6 +92,40 @@ pub struct CheckpointSpec {
 }
 
 impl CheckpointSpec {
+    /// The spec of a run of `config` — the inverse of
+    /// [`CheckpointSpec::to_config`]. `module_hash` fingerprints the build
+    /// of `workload` being profiled, and `arch` plus `overrides` name
+    /// `config.core` (the config holds only the resolved model).
+    pub fn for_run(
+        config: &OptiwiseConfig,
+        module_hash: u64,
+        workload: &str,
+        size: &str,
+        arch: &str,
+        overrides: &[(String, String)],
+        checkpoint_every: u64,
+    ) -> CheckpointSpec {
+        CheckpointSpec {
+            module_hash,
+            workload: workload.to_string(),
+            size: size.to_string(),
+            arch: arch.to_string(),
+            overrides: overrides.to_vec(),
+            rand_seed: config.rand_seed,
+            period: config.sampler.period,
+            jitter: config.sampler.jitter,
+            sampler_seed: config.sampler.seed,
+            attribution: config.sampler.attribution,
+            stacks: config.sampler.stacks,
+            stack_profiling: config.dbi.stack_profiling,
+            merge_threshold: config.analysis.merge_threshold,
+            max_insns: config.max_insns,
+            strict: config.strict,
+            allow_partial: config.allow_partial,
+            checkpoint_every,
+        }
+    }
+
     /// The core model this spec names, with any recorded overrides applied
     /// and the result validated. Name resolution delegates to
     /// [`CoreConfig::by_name`] — the same source the CLI and daemon use —
@@ -189,9 +225,10 @@ impl Checkpoint {
         matches!(&self.counts, Some(p) if p.truncated.is_none())
     }
 
-    /// The completed passes, for `optiwise::RunControl::resume`. Partial
-    /// profiles are deliberately left behind: those passes replay from
-    /// instruction zero.
+    /// The completed passes, for `optiwise::RunControl::resume` when
+    /// resuming. Partial profiles are deliberately left behind: those passes
+    /// replay from instruction zero. (`analyze` instead restores a
+    /// single-pass file's profile as it is, truncated or not.)
     pub fn resume_state(&self) -> ResumeState {
         ResumeState {
             samples: self.samples.clone().filter(|p| p.truncated.is_none()),
@@ -708,6 +745,18 @@ mod tests {
         let mut bad = spec();
         bad.arch = "cray".into();
         assert!(bad.to_config(1).is_err());
+
+        // `for_run` inverts `to_config`.
+        let back = CheckpointSpec::for_run(
+            &cfg,
+            s.module_hash,
+            &s.workload,
+            &s.size,
+            &s.arch,
+            &s.overrides,
+            s.checkpoint_every,
+        );
+        assert_eq!(back, s);
     }
 
     #[test]

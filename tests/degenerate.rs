@@ -1,11 +1,14 @@
 //! Failure-injection and degenerate-input tests: empty profiles, mismatched
 //! fusion inputs, loop-free programs, immediate exits, undersampling.
 
+mod common;
+
 use optiwise::{run_optiwise, Analysis, AnalysisOptions, OptiwiseConfig};
 use wiser_dbi::{instrument_run, CountsProfile, DbiConfig};
 use wiser_isa::{assemble, Module};
 use wiser_sampler::{sample_run, SampleProfile, SamplerConfig};
 use wiser_sim::{CoreConfig, ProcessImage, TruncationReason};
+use wiser_store::{write_store, Checkpoint};
 
 fn immediate_exit() -> Module {
     assemble(
@@ -200,9 +203,9 @@ fn undersampled_run_yields_no_samples_but_valid_profile() {
     let (profile, run) = sample_run(&image, 0, CoreConfig::xeon_like(), cfg, 100_000).unwrap();
     assert!(profile.samples.is_empty());
     assert!(run.stats.cycles < 1_000_000);
-    // Round-trips as text even when empty.
-    let back = SampleProfile::from_text(&profile.to_text()).unwrap();
-    assert_eq!(back, profile);
+    // Round-trips through a single-pass file even when empty.
+    let back = common::reload(&common::any_pass_file(Some(profile.clone()), None));
+    assert_eq!(back.samples, Some(profile));
 }
 
 #[test]
@@ -250,19 +253,30 @@ fn straight_line_program_has_no_loops_or_back_edges() {
 }
 
 #[test]
-fn corrupt_profile_texts_are_rejected_not_panicked() {
-    for bad in [
-        "",
-        "garbage",
-        "optiwise-samples v1\ns broken",
-        "optiwise-samples v1\ns 0 zz 5 0",
-        "optiwise-counts v1\nb 0:0",
-        "optiwise-counts v1\nmodule 5 late",
+fn corrupt_profile_files_are_rejected_not_panicked() {
+    let run = run_optiwise(&[immediate_exit()], &OptiwiseConfig::default()).unwrap();
+    let samples = common::any_pass_file(Some(run.samples.clone()), None).to_bytes();
+    let counts = common::any_pass_file(None, Some(run.counts.clone())).to_bytes();
+    // A SAMP section with a valid checksum but a payload that is no profile.
+    let ckpt_payload = wiser_store::read_sections(&samples).unwrap()[0]
+        .payload
+        .to_vec();
+    let junk_samples = write_store(&[(*b"CKPT", ckpt_payload), (*b"SAMP", b"s broken".to_vec())]);
+    // Well-framed counts whose first block names a module that does not exist.
+    let mut dangling = run.counts.clone();
+    dangling.blocks[0].entry.module = wiser_sim::ModuleId(5);
+    let dangling = common::any_pass_file(None, Some(dangling)).to_bytes();
+    for (what, bad) in [
+        ("empty", Vec::new()),
+        ("garbage", b"garbage".to_vec()),
+        (
+            "samples cut mid-file",
+            samples[..samples.len() / 2].to_vec(),
+        ),
+        ("junk SAMP payload", junk_samples),
+        ("counts cut mid-file", counts[..counts.len() - 3].to_vec()),
+        ("undeclared module", dangling),
     ] {
-        if bad.starts_with("optiwise-samples") || bad.is_empty() || bad == "garbage" {
-            assert!(SampleProfile::from_text(bad).is_err(), "{bad:?}");
-        } else {
-            assert!(CountsProfile::from_text(bad).is_err(), "{bad:?}");
-        }
+        assert!(Checkpoint::from_bytes(&bad).is_err(), "{what}");
     }
 }

@@ -1,19 +1,18 @@
 //! Deterministic fault-injection tests: every recovery path of the
 //! pipeline is driven by a seeded [`FaultPlan`] and asserted end to end —
 //! partial-profile recovery, degraded sampling-only analysis, corrupted
-//! profile text, run-divergence detection on desynced seeds, and
+//! profile files, run-divergence detection on desynced seeds, and
 //! crash-style kills at instruction and checkpoint-write boundaries.
 
+mod common;
+
 use optiwise::{
-    module_fingerprint, report, run_optiwise, run_optiwise_ctl, AnalysisMode, CancelToken,
-    OptiwiseConfig, OptiwiseError, PassEvent, RunControl,
-    DEFAULT_DIVERGENCE_THRESHOLD,
+    report, run_optiwise, run_optiwise_ctl, AnalysisMode, CancelToken, OptiwiseConfig,
+    OptiwiseError, PassEvent, RunControl, DEFAULT_DIVERGENCE_THRESHOLD,
 };
-use wiser_dbi::CountsProfile;
 use wiser_isa::Module;
-use wiser_sampler::SampleProfile;
 use wiser_sim::{FaultPlan, TruncationReason};
-use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter};
+use wiser_store::{Checkpoint, CheckpointWriter};
 
 fn rand_walk() -> Vec<Module> {
     wiser_workloads::by_name("rand_walk")
@@ -170,29 +169,6 @@ fn injected_abort_at_budget_boundary_is_not_retried() {
     );
 }
 
-/// A checkpoint spec matching `cfg` for `modules`, as the CLI would build.
-fn spec_for(modules: &[Module], cfg: &OptiwiseConfig, every: u64) -> CheckpointSpec {
-    CheckpointSpec {
-        module_hash: module_fingerprint(modules),
-        workload: "counted_loop".into(),
-        size: "test".into(),
-        arch: "xeon".into(),
-        overrides: Vec::new(),
-        rand_seed: cfg.rand_seed,
-        period: cfg.sampler.period,
-        jitter: cfg.sampler.jitter,
-        sampler_seed: cfg.sampler.seed,
-        attribution: cfg.sampler.attribution,
-        stacks: cfg.sampler.stacks,
-        stack_profiling: cfg.dbi.stack_profiling,
-        merge_threshold: cfg.analysis.merge_threshold,
-        max_insns: cfg.max_insns,
-        strict: cfg.strict,
-        allow_partial: cfg.allow_partial,
-        checkpoint_every: every,
-    }
-}
-
 fn scratch_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("wiser-fault-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -228,7 +204,7 @@ fn kill_mid_pass_exits_9_and_checkpoint_survives() {
     let token = CancelToken::new();
     let writer = CheckpointWriter::new(
         &path,
-        Checkpoint::fresh(spec_for(&modules, &cfg, 2_000)),
+        Checkpoint::fresh(common::spec_for(&modules, &cfg, 2_000)),
         token.clone(),
         None,
     );
@@ -299,7 +275,7 @@ fn kill_during_checkpoint_write_keeps_previous_checkpoint_readable() {
     // has already been renamed into place and must survive the torn write.
     let writer = CheckpointWriter::new(
         &path,
-        Checkpoint::fresh(spec_for(&modules, &cfg, 2_000)),
+        Checkpoint::fresh(common::spec_for(&modules, &cfg, 2_000)),
         token.clone(),
         Some(2),
     );
@@ -327,29 +303,39 @@ fn kill_during_checkpoint_write_keeps_previous_checkpoint_readable() {
 }
 
 #[test]
-fn corrupted_profile_text_fails_parse_with_line_number() {
-    let run = run_optiwise(&[counted_loop()], &OptiwiseConfig::default()).unwrap();
-    let plan = FaultPlan {
-        corrupt_text: true,
-        ..FaultPlan::default()
-    };
+fn corrupted_profile_file_fails_decode_with_byte_offset() {
+    let cfg = OptiwiseConfig::default();
+    let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
+    let spec = common::spec_for(&[counted_loop()], &cfg, 0);
+    let files = [
+        common::pass_file(spec.clone(), Some(run.samples.clone()), None),
+        common::pass_file(spec, None, Some(run.counts.clone())),
+    ];
+    for seed in 0..32 {
+        let plan = FaultPlan {
+            seed,
+            corrupt_output: true,
+            ..FaultPlan::default()
+        };
+        for file in &files {
+            let bytes = file.to_bytes();
+            let bad = plan.corrupt_bytes(&bytes);
+            assert_ne!(bad, bytes);
+            let err = Checkpoint::from_bytes(&bad).unwrap_err();
+            assert!(err.offset >= 16, "corruption is past the header: {err}");
+            assert!(
+                err.section.is_some(),
+                "seed {seed}: no section named: {err}"
+            );
+        }
+    }
 
-    let bad_samples = plan.corrupt(&run.samples.to_text());
-    let bad_counts = plan.corrupt(&run.counts.to_text());
-    assert_ne!(bad_samples, run.samples.to_text());
-    assert_ne!(bad_counts, run.counts.to_text());
-
-    let err = SampleProfile::from_text(&bad_samples).unwrap_err();
-    assert!(err.line > 0, "corruption is past the header: {err}");
-    let err = CountsProfile::from_text(&bad_counts).unwrap_err();
-    assert!(err.line > 0, "corruption is past the header: {err}");
-
-    // Uncorrupted text still round-trips, including truncation markers.
+    // Uncorrupted files still round-trip, including truncation markers.
     let mut truncated = run.counts.clone();
     truncated.truncated = Some(TruncationReason::ExecFault {
         pc: 0x40,
         message: "injected".into(),
     });
-    let back = CountsProfile::from_text(&truncated.to_text()).unwrap();
-    assert_eq!(back, truncated);
+    let back = common::reload(&common::any_pass_file(None, Some(truncated.clone())));
+    assert_eq!(back.counts, Some(truncated));
 }

@@ -7,6 +7,8 @@
 //! (the hermetic environment has no proptest; these loops cover the same
 //! invariants with explicit generators).
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -296,8 +298,8 @@ fn sample_profile_roundtrip() {
             unmapped: 3,
             ..SampleProfile::default()
         };
-        let back = SampleProfile::from_text(&profile.to_text()).expect("roundtrip parses");
-        assert_eq!(back, profile);
+        let back = common::reload(&common::any_pass_file(Some(profile.clone()), None));
+        assert_eq!(back.samples, Some(profile));
     }
 }
 
