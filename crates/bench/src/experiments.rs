@@ -277,7 +277,6 @@ pub fn fig06(size: InputSize) -> Fig6 {
         let cfg = OptiwiseConfig {
             analysis: AnalysisOptions {
                 merge_threshold: Some(t),
-                ..AnalysisOptions::default()
             },
             sampler: SamplerConfig::with_period(512),
             ..OptiwiseConfig::default()
@@ -290,7 +289,6 @@ pub fn fig06(size: InputSize) -> Fig6 {
         &OptiwiseConfig {
             analysis: AnalysisOptions {
                 merge_threshold: None,
-                ..AnalysisOptions::default()
             },
             sampler: SamplerConfig::with_period(512),
             ..OptiwiseConfig::default()

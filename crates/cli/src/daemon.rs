@@ -24,10 +24,11 @@
 //! withholding a newline. Each admitted job gets its own
 //! [`CancelToken`], armed with `--job-deadline` at *admission* (the budget
 //! includes queue wait: a stuck daemon must not hold clients forever).
-//! Jobs run on the shared `wiser-par` worker pool, checkpoint into the
-//! archive's `checkpoints/` directory, and retry transient failures
-//! (truncation, divergence) with bounded exponential backoff before
-//! reporting the job's own exit code back over the wire.
+//! Jobs run once on the shared `wiser-par` worker pool, checkpoint into
+//! the archive's `checkpoints/` directory, and report the job's own exit
+//! code back over the wire. A failed job is not re-run: with the same
+//! config, seeds and fault plan, a pass is deterministic and its failure
+//! would recur.
 //!
 //! ## Shutdown
 //!
@@ -136,7 +137,7 @@ mod imp {
     use std::sync::{Arc, Mutex, MutexGuard};
     use std::time::Duration;
 
-    use optiwise::{module_fingerprint, CancelToken, OptiwiseError, OptiwiseRun};
+    use optiwise::{module_fingerprint, CancelToken, OptiwiseError};
     use wiser_archive::{Archive, RetentionPolicy};
     use wiser_sim::{CoreConfig, ARCH_NAMES};
     use wiser_store::{Checkpoint, CheckpointSpec, CheckpointWriter, StoredProfile};
@@ -147,12 +148,6 @@ mod imp {
 
     /// How often the accept loop wakes to pump jobs and check signals.
     const POLL: Duration = Duration::from_millis(15);
-    /// Transient job failures are retried up to this many attempts total.
-    const MAX_ATTEMPTS: u32 = 3;
-    /// First retry backoff; doubles per attempt, capped at [`BACKOFF_CAP`].
-    const BACKOFF: Duration = Duration::from_millis(25);
-    /// Upper bound on the retry backoff.
-    const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
     type Job = Box<dyn FnOnce() + Send + 'static>;
     type Response = BTreeMap<String, Value>;
@@ -643,8 +638,8 @@ mod imp {
         response
     }
 
-    /// Runs one admitted job end to end: build, profile (with checkpoint
-    /// and bounded retries), commit to the archive, prune, clean up.
+    /// Runs one admitted job end to end: build, profile (with checkpoint),
+    /// commit to the archive, prune, clean up.
     #[allow(clippy::too_many_arguments)]
     fn run_job(
         daemon: &Daemon,
@@ -687,22 +682,14 @@ mod imp {
         );
         writer.persist_initial()?;
 
-        let run = supervise(token, &mut |attempt| {
-            if attempt > 0 {
-                eprintln!(
-                    "optiwised: job {job_id} ({workload}): retrying, attempt {}",
-                    attempt + 1
-                );
-            }
-            crate::run_with_control(
-                &modules,
-                &config,
-                token,
-                every,
-                Some(&writer),
-                optiwise::ResumeState::default(),
-            )
-        })?;
+        let run = crate::run_with_control(
+            &modules,
+            &config,
+            token,
+            every,
+            Some(&writer),
+            optiwise::ResumeState::default(),
+        )?;
 
         let stored = StoredProfile::from_run(workload, &run, seed, arch, core);
         {
@@ -716,41 +703,6 @@ mod imp {
             let _ = std::fs::remove_file(&checkpoint_path);
             Ok(run_id)
         }
-    }
-
-    /// Supervised retry with bounded exponential backoff. Only transient
-    /// failure classes retry — truncation, divergence, worker death;
-    /// deterministic failures (bad workload, cancellation, injected kills)
-    /// surface immediately, as does anything after the last attempt.
-    fn supervise(
-        token: &CancelToken,
-        attempt_fn: &mut dyn FnMut(u32) -> Result<OptiwiseRun, OptiwiseError>,
-    ) -> Result<OptiwiseRun, OptiwiseError> {
-        let mut attempt = 0;
-        loop {
-            match attempt_fn(attempt) {
-                Ok(run) => return Ok(run),
-                Err(e)
-                    if attempt + 1 < MAX_ATTEMPTS && retryable(&e) && token.cause().is_none() =>
-                {
-                    let backoff = BACKOFF
-                        .saturating_mul(1 << attempt.min(8))
-                        .min(BACKOFF_CAP);
-                    std::thread::sleep(backoff);
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn retryable(e: &OptiwiseError) -> bool {
-        matches!(
-            e,
-            OptiwiseError::Truncated { .. }
-                | OptiwiseError::Divergence { .. }
-                | OptiwiseError::Internal(_)
-        )
     }
 }
 

@@ -456,7 +456,6 @@ fn pipeline_config(opts: &Options) -> OptiwiseConfig {
         },
         analysis: AnalysisOptions {
             merge_threshold: opts.merge_threshold,
-            jobs: opts.jobs,
         },
         rand_seed: opts.seed,
         strict: opts.strict,
@@ -723,10 +722,11 @@ fn cmd_run(opts: Options) -> Result<(), OptiwiseError> {
     )
 }
 
-/// Everything that happens after a (fresh or resumed) run settles: retry
-/// and degradation notices, `--save`, the report, `--function` annotation
-/// and `--csv-dir` exports. Shared by `run` and `resume` so a resumed run
-/// is rendered through the exact same path — byte-identical output.
+/// Everything that happens after a (fresh or resumed) run settles: budget
+/// escalation and degradation notices, `--save`, the report, `--function`
+/// annotation and `--csv-dir` exports. Shared by `run` and `resume` so a
+/// resumed run is rendered through the exact same path — byte-identical
+/// output.
 #[allow(clippy::too_many_arguments)]
 fn render_run(
     opts: &Options,
@@ -739,7 +739,8 @@ fn render_run(
 ) -> Result<(), OptiwiseError> {
     if run.attempts.0 > 1 || run.attempts.1 > 1 {
         eprintln!(
-            "optiwise: retried truncated passes (sampling x{}, instrumentation x{})",
+            "optiwise: escalated the instruction budget of truncated passes \
+             (sampling x{}, instrumentation x{})",
             run.attempts.0, run.attempts.1
         );
     }

@@ -280,6 +280,33 @@ fn daemon_rejects_malformed_and_unknown_requests() {
 }
 
 #[test]
+fn deterministic_job_failure_runs_once() {
+    // A strict job whose counts pass is cut by an injected fault fails the
+    // same way on every execution, so the daemon answers it after one run.
+    let dir = scratch("fail-once");
+    let socket = dir.join("d.sock");
+    let sock = socket.to_str().unwrap();
+    let mut daemon = spawn_daemon(&[
+        "--archive", dir.join("archive").to_str().unwrap(), "--socket", sock,
+        "--size", "test", "--strict", "--inject", "truncate-counts=2000",
+    ]);
+    wait_for_socket(&socket, &mut daemon);
+
+    let out = optiwise(&["submit", "--socket", sock, "stack_attr", "--seed", "3"]);
+    assert_eq!(out.status.code(), Some(4), "{out:?}");
+    let line = String::from_utf8_lossy(&out.stdout);
+    assert!(line.contains("\"exit\":4"), "{line}");
+
+    let out = optiwise(&["shutdown", "--socket", sock]);
+    assert!(out.status.success(), "{out:?}");
+    let status = daemon.wait().unwrap();
+    let stderr = drain_stderr(&mut daemon);
+    assert_eq!(status.code(), Some(0), "daemon: {stderr}");
+    assert!(!stderr.contains("retrying"), "daemon re-ran the job: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn daemon_sigterm_drains_with_exit_8_and_preserves_checkpoints() {
     let dir = scratch("term-drain");
     let root = dir.to_str().unwrap().to_string();

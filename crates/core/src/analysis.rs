@@ -86,18 +86,12 @@ pub struct AnalysisOptions {
     /// Loop-merge threshold (algorithm 2); `None` keeps one loop per back
     /// edge.
     pub merge_threshold: Option<u64>,
-    /// Worker threads for the per-module stage (disassembly, CFG recovery,
-    /// loop forests). Shards are merged in [`ModuleId`] order, so any value
-    /// produces identical results; `1` keeps the stage on the calling
-    /// thread.
-    pub jobs: usize,
 }
 
 impl Default for AnalysisOptions {
     fn default() -> AnalysisOptions {
         AnalysisOptions {
             merge_threshold: Some(MERGE_THRESHOLD),
-            jobs: 1,
         }
     }
 }
@@ -244,11 +238,8 @@ impl Analysis {
         } else {
             counts
         };
-        // Per-module structure. Modules are independent here (disassembly,
-        // CFG recovery, loop forests only need the module and the counts),
-        // so the stage fans out over `opts.jobs` workers; shards come back
-        // in input order — i.e. ModuleId order — so the merged result is
-        // identical for any worker count.
+        // Per-module structure: disassembly, CFG recovery and loop forests,
+        // in ModuleId order.
         let build_module = |i: usize, m: &Module| -> Result<ModuleAnalysis, OptiwiseError> {
             let cfg = build_cfg(ModuleId(i as u32), m, counts);
             let forests = find_all_loops(&cfg, opts.merge_threshold);
@@ -263,22 +254,11 @@ impl Analysis {
                 module: m.clone(),
             })
         };
-        let shards: Vec<Result<ModuleAnalysis, OptiwiseError>> =
-            if opts.jobs > 1 && modules.len() > 1 {
-                wiser_par::par_map(opts.jobs, modules.iter().collect(), |i, m| {
-                    build_module(i, m)
-                })
-                .map_err(|e| {
-                    OptiwiseError::Internal(format!("module-analysis worker: {e}"))
-                })?
-            } else {
-                modules
-                    .iter()
-                    .enumerate()
-                    .map(|(i, m)| build_module(i, m))
-                    .collect()
-            };
-        let mods: Vec<ModuleAnalysis> = shards.into_iter().collect::<Result<_, _>>()?;
+        let mods: Vec<ModuleAnalysis> = modules
+            .iter()
+            .enumerate()
+            .map(|(i, m)| build_module(i, m))
+            .collect::<Result<_, _>>()?;
 
         let insn_counts: HashMap<CodeLoc, u64> = counts.insn_counts();
         let mut insn_samples: HashMap<CodeLoc, (u64, u64)> = HashMap::new();
@@ -967,81 +947,6 @@ mod tests {
         assert!(!rows.is_empty());
         for w in rows.windows(2) {
             assert!(w[0].cycles >= w[1].cycles);
-        }
-    }
-
-    #[test]
-    fn parallel_module_analysis_matches_sequential() {
-        let main = assemble(
-            "main",
-            r#"
-            .import busy
-            .func _start global
-                li x8, 500
-                li x9, 0
-            loop:
-                call busy
-                subi x8, x8, 1
-                bne x8, x9, loop
-                li x0, 0
-                syscall
-            .endfunc
-            .entry _start
-            "#,
-        )
-        .unwrap();
-        let lib = assemble(
-            "libbusy",
-            r#"
-            .func busy global
-                li x1, 20
-                li x2, 0
-            spin:
-                subi x1, x1, 1
-                bne x1, x2, spin
-                ret
-            .endfunc
-            "#,
-        )
-        .unwrap();
-        let modules = vec![main, lib];
-        let image_a = ProcessImage::load(&modules, &LoadConfig::default()).unwrap();
-        let (samples, _) = sample_run(
-            &image_a,
-            3,
-            CoreConfig::xeon_like(),
-            SamplerConfig::with_period(512),
-            50_000_000,
-        )
-        .unwrap();
-        let counts = instrument_run(
-            &image_a,
-            &DbiConfig {
-                rand_seed: 3,
-                ..DbiConfig::default()
-            },
-        )
-        .unwrap();
-        let linked: Vec<Module> = image_a.modules.iter().map(|m| m.linked.clone()).collect();
-        let seq = Analysis::new(&linked, &samples, &counts, AnalysisOptions::default());
-        for jobs in [2, 8] {
-            let par = Analysis::new(
-                &linked,
-                &samples,
-                &counts,
-                AnalysisOptions {
-                    jobs,
-                    ..AnalysisOptions::default()
-                },
-            );
-            assert_eq!(par.functions(), seq.functions(), "jobs={jobs}");
-            assert_eq!(par.loops(), seq.loops(), "jobs={jobs}");
-            assert_eq!(par.lines(), seq.lines(), "jobs={jobs}");
-            assert_eq!(
-                crate::report::full_report(&par, 30),
-                crate::report::full_report(&seq, 30),
-                "jobs={jobs}"
-            );
         }
     }
 

@@ -5,18 +5,19 @@
 //! engine, then fuses both profiles into an [`Analysis`] (figure 3's five
 //! components end to end).
 //!
-//! The runner is fault-tolerant: a pass cut short by its instruction budget
-//! is retried with an escalated budget (bounded by [`RetryPolicy`]); an
-//! instrumentation pass that stays unusable degrades the analysis to
-//! sampling-only instead of discarding the run; and the post-join
-//! divergence check can fail the pipeline in strict mode.
+//! The runner is fault-tolerant: a pass that its instruction budget would
+//! cut short runs once with the escalated budget [`RetryPolicy`] allows,
+//! instead of being replayed from instruction zero; an instrumentation
+//! pass that stays unusable degrades the analysis to sampling-only instead
+//! of discarding the run; and the post-join divergence check can fail the
+//! pipeline in strict mode.
 //!
 //! The two passes are *independent executions* of the same program (§III):
 //! they share no state beyond the module list and the config, so by default
 //! the runner overlaps them on two threads ([`OptiwiseConfig::concurrent_passes`]).
-//! Each pass keeps its own budget-escalation retry loop, and the fused
-//! analysis is built from the joined results exactly as in the sequential
-//! order — output is bit-identical either way.
+//! Each pass executes exactly once, and the fused analysis is built from
+//! the joined results exactly as in the sequential order — output is
+//! bit-identical either way.
 
 use std::collections::{HashMap, HashSet};
 
@@ -31,21 +32,20 @@ use wiser_sim::{
 use crate::analysis::{Analysis, AnalysisOptions, DEFAULT_DIVERGENCE_THRESHOLD};
 use crate::error::{OptiwiseError, Pass};
 
-/// Bounded re-run policy for passes cut short by their instruction budget.
+/// Bounded budget escalation for passes cut short by their instruction
+/// budget.
 ///
-/// Only budget exhaustion is retried — execution faults and injected aborts
-/// are deterministic and would recur.
+/// Only budget exhaustion escalates — execution faults and injected aborts
+/// are deterministic and would recur at any budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Re-runs allowed per pass after the first attempt.
+    /// Escalations allowed per pass beyond the first budget.
     pub max_retries: u32,
-    /// Budget multiplier applied on each retry.
+    /// Budget multiplier applied on each escalation.
     pub budget_multiplier: u64,
-    /// Aggregate instruction cap across every attempt of one pass. Each
-    /// retry replays from instruction zero, so escalation multiplies total
-    /// work; an escalated budget that would push the pass's cumulative
-    /// spend past this cap is not taken, and the final budget truncation
-    /// stands as if it were non-retryable (the usual degradation path
+    /// Cap on the sum of a pass's budgets, the first one included. An
+    /// escalation that would push the sum past this cap is not taken, and
+    /// a cut at the last budget taken stands (the usual degradation path
     /// applies).
     pub max_total_insns: u64,
 }
@@ -60,21 +60,36 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// Whether a pass truncated by `reason` after `attempts` attempts may
-    /// be re-run with `next_budget`, having already spent `spent`
-    /// instructions across its previous attempts.
-    fn may_retry(
-        &self,
-        attempts: u32,
-        spent: u64,
-        next_budget: u64,
-        reason: &TruncationReason,
-    ) -> bool {
-        reason.retryable()
-            && attempts <= self.max_retries
-            && spent.saturating_add(next_budget) <= self.max_total_insns
+/// The budgets a pass starting at `max_insns` may escalate through, lowest
+/// first: up to `max_retries` escalations by `budget_multiplier`, each
+/// taken only while the sum of the rungs so far plus the next stays within
+/// `max_total_insns`. A rung no larger than the one below it could not
+/// finish a pass that rung cut, so the ladder ends there.
+///
+/// A pass is deterministic and its budget only decides where it stops, so
+/// one execution at the top rung yields the profile a replay from
+/// instruction zero at each rung in turn would settle on.
+fn budget_ladder(retry: &RetryPolicy, max_insns: u64) -> Vec<u64> {
+    let mut rungs = vec![max_insns];
+    let mut total = max_insns;
+    for _ in 0..retry.max_retries {
+        let top = rungs[rungs.len() - 1];
+        let next = top.saturating_mul(retry.budget_multiplier);
+        if next <= top || total.saturating_add(next) > retry.max_total_insns {
+            break;
+        }
+        total = total.saturating_add(next);
+        rungs.push(next);
     }
+    rungs
+}
+
+/// Attempts the ladder's climb spends on a pass whose single execution at
+/// the top rung shows that every budget below `reach` cuts it: one per
+/// lower rung that cuts, plus the top rung itself.
+fn ladder_attempts(ladder: &[u64], reach: u64) -> u32 {
+    let lower = &ladder[..ladder.len() - 1];
+    1 + lower.iter().take_while(|&&b| b < reach).count() as u32
 }
 
 /// Pipeline progress notifications delivered to [`RunControl::observer`].
@@ -82,8 +97,8 @@ impl RetryPolicy {
 /// `*Checkpoint` events fire mid-pass every [`RunControl::checkpoint_every`]
 /// committed instructions with an owned snapshot (always marked
 /// `truncated = Cancelled`, since it describes an interrupted prefix of the
-/// pass); `*Done` events fire exactly once per pass when its retry loop
-/// settles, truncated or not. With concurrent passes the observer is called
+/// pass); `*Done` events fire exactly once per pass when its execution
+/// ends, truncated or not. With concurrent passes the observer is called
 /// from two threads, so it must be `Sync`.
 pub enum PassEvent<'a> {
     /// Mid-pass snapshot of the sampling profile.
@@ -308,41 +323,17 @@ fn plan_selective(
     Some((ranges, hot))
 }
 
-/// Runs `attempt` at `budget`, re-running it at an escalated budget while
-/// `retry` allows. `attempt` returns its result, the instructions it spent
-/// and how it was cut short; the final result comes back with the number
-/// of attempts.
-fn with_retries<T>(
-    retry: &RetryPolicy,
-    mut budget: u64,
-    mut attempt: impl FnMut(u64) -> Result<(T, u64, Option<TruncationReason>), OptiwiseError>,
-) -> Result<(T, u32), OptiwiseError> {
-    let mut attempts = 0u32;
-    let mut spent = 0u64;
-    loop {
-        attempts += 1;
-        let (result, used, truncated) = attempt(budget)?;
-        spent += used;
-        let escalated = budget.saturating_mul(retry.budget_multiplier);
-        match truncated {
-            Some(reason) if retry.may_retry(attempts, spent, escalated, &reason) => {
-                budget = escalated;
-            }
-            _ => return Ok((result, attempts)),
-        }
-    }
-}
-
 /// The sampling pass (run 1): the timing model and sampler under the first
-/// ASLR layout, re-run with an escalated budget per `config.retry` while its
-/// instruction budget is what cut it short.
+/// ASLR layout, executed once with the largest budget `config.retry`
+/// escalates to.
 ///
 /// `observer` receives a [`PassEvent::SampleCheckpoint`] every
 /// `checkpoint_every` committed instructions (0 disables them) and one
-/// [`PassEvent::SampleDone`] when the pass settles. Returns the final
-/// profile, possibly truncated, the last attempt's timing summary and the
-/// number of attempts. [`run_optiwise_ctl`] and the CLI's `sample` command
-/// both run the pass through here.
+/// [`PassEvent::SampleDone`] when the pass ends. Returns the final
+/// profile, possibly truncated, the timing summary and the attempts a
+/// replay at each escalated budget in turn would have spent.
+/// [`run_optiwise_ctl`] and the CLI's `sample` command both run the pass
+/// through here.
 ///
 /// # Errors
 ///
@@ -362,28 +353,36 @@ pub fn run_sampling_pass(
     let image = ProcessImage::load(modules, &load)?;
     let mut sampler_cfg = config.sampler;
     sampler_cfg.fault = config.fault;
-    let ((samples, timed), attempts) = with_retries(&config.retry, config.max_insns, |budget| {
-        let mut sink = |retired: u64, profile: SampleProfile| {
-            if let Some(obs) = observer {
-                obs(PassEvent::SampleCheckpoint { retired, profile });
-            }
-        };
-        let pass_ctl = SamplePassControl {
-            cancel: Some(cancel),
-            checkpoint_every,
-            sink: observer.is_some().then_some(&mut sink as _),
-        };
-        let (samples, timed) = sample_run_ctl(
-            &image,
-            config.rand_seed,
-            config.core,
-            sampler_cfg,
-            budget,
-            pass_ctl,
-        )?;
-        let (spent, truncated) = (timed.stats.retired, samples.truncated.clone());
-        Ok(((samples, timed), spent, truncated))
-    })?;
+    let ladder = budget_ladder(&config.retry, config.max_insns);
+    let mut sink = |retired: u64, profile: SampleProfile| {
+        if let Some(obs) = observer {
+            obs(PassEvent::SampleCheckpoint { retired, profile });
+        }
+    };
+    let pass_ctl = SamplePassControl {
+        cancel: Some(cancel),
+        checkpoint_every,
+        sink: observer.is_some().then_some(&mut sink as _),
+    };
+    let (samples, timed) = sample_run_ctl(
+        &image,
+        config.rand_seed,
+        config.core,
+        sampler_cfg,
+        ladder[ladder.len() - 1],
+        pass_ctl,
+    )?;
+    // The timed feed checks `retired >= budget` before each step, so a
+    // budget cuts the pass iff it is below where the pass stopped — or
+    // equal to it, when the next step would have faulted. An injected
+    // abort stops the pass at its cut point, and a budget that ties with
+    // it keeps the injected label, so that budget adds no attempt.
+    let stop = timed.stats.retired;
+    let reach = match samples.truncated {
+        Some(TruncationReason::ExecFault { .. }) => stop + 1,
+        _ => stop,
+    };
+    let attempts = ladder_attempts(&ladder, reach);
     if let Some(obs) = observer {
         obs(PassEvent::SampleDone { profile: &samples });
     }
@@ -406,15 +405,17 @@ fn instrumentation_image(
 }
 
 /// The instrumentation pass (run 2): the DBI engine under the second ASLR
-/// layout, retried like [`run_sampling_pass`]. `config.dbi.selective`
-/// restricts full counting to the listed text spans, and the fault plan's
-/// desync seed (if any) deliberately runs the pass on different input.
+/// layout, executed once with the largest budget `config.retry` escalates
+/// to, like [`run_sampling_pass`]. `config.dbi.selective` restricts full
+/// counting to the listed text spans, and the fault plan's desync seed (if
+/// any) deliberately runs the pass on different input.
 ///
 /// Events mirror the sampling pass ([`PassEvent::CountsCheckpoint`],
 /// [`PassEvent::CountsDone`]). Returns the final profile, possibly
-/// truncated, the linked modules the analysis keys on and the number of
-/// attempts. The raw profile carries no counter placement: the pipeline
-/// applies it after the pass.
+/// truncated, the linked modules the analysis keys on and the attempts a
+/// replay at each escalated budget in turn would have spent. The raw
+/// profile carries no counter placement: the pipeline applies it after the
+/// pass.
 ///
 /// # Errors
 ///
@@ -427,27 +428,34 @@ pub fn run_counts_pass(
     observer: Option<&(dyn Fn(PassEvent<'_>) + Sync)>,
 ) -> Result<(CountsProfile, Vec<Module>, u32), OptiwiseError> {
     let (image, linked) = instrumentation_image(modules, config)?;
-    let (counts, attempts) = with_retries(&config.retry, config.max_insns, |budget| {
-        let dbi_cfg = DbiConfig {
-            rand_seed: config.fault.desync_rand_seed.unwrap_or(config.rand_seed),
-            max_insns: budget,
-            fault: config.fault,
-            ..config.dbi.clone()
-        };
-        let mut sink = |retired: u64, profile: CountsProfile| {
-            if let Some(obs) = observer {
-                obs(PassEvent::CountsCheckpoint { retired, profile });
-            }
-        };
-        let pass_ctl = CountsPassControl {
-            cancel: Some(cancel),
-            checkpoint_every,
-            sink: observer.is_some().then_some(&mut sink as _),
-        };
-        let counts = instrument_run_ctl(&image, &dbi_cfg, pass_ctl)?;
-        let (spent, truncated) = (counts.total_insns(), counts.truncated.clone());
-        Ok((counts, spent, truncated))
-    })?;
+    let ladder = budget_ladder(&config.retry, config.max_insns);
+    let dbi_cfg = DbiConfig {
+        rand_seed: config.fault.desync_rand_seed.unwrap_or(config.rand_seed),
+        max_insns: ladder[ladder.len() - 1],
+        fault: config.fault,
+        ..config.dbi.clone()
+    };
+    let mut sink = |retired: u64, profile: CountsProfile| {
+        if let Some(obs) = observer {
+            obs(PassEvent::CountsCheckpoint { retired, profile });
+        }
+    };
+    let pass_ctl = CountsPassControl {
+        cancel: Some(cancel),
+        checkpoint_every,
+        sink: observer.is_some().then_some(&mut sink as _),
+    };
+    let counts = instrument_run_ctl(&image, &dbi_cfg, pass_ctl)?;
+    // The block loop checks `retired > budget` after each step, so a
+    // budget cuts the pass iff it is below the instructions the pass
+    // retired. A cut pass dropped its partial block from the profile, so
+    // it reaches its cut point instead; an injected cut that ties with a
+    // budget keeps its label there, so that budget adds no attempt.
+    let reach = match counts.truncated {
+        Some(TruncationReason::InsnLimit(cut) | TruncationReason::Injected(cut)) => cut,
+        _ => counts.total_insns(),
+    };
+    let attempts = ladder_attempts(&ladder, reach);
     if let Some(obs) = observer {
         obs(PassEvent::CountsDone { profile: &counts });
     }
@@ -464,8 +472,10 @@ pub struct OptiwiseRun {
     pub counts: CountsProfile,
     /// Timing statistics of the sampled run.
     pub timed: TimedRun,
-    /// Attempts used per pass (1 = no retries needed): `(sampling,
-    /// instrumentation)`.
+    /// Attempts per pass (1 = the first budget sufficed): `(sampling,
+    /// instrumentation)`. Each pass executes once; this counts the budgets
+    /// of the [`RetryPolicy`] escalation a replay from instruction zero at
+    /// each budget in turn would have run.
     pub attempts: (u32, u32),
 }
 
@@ -473,9 +483,10 @@ pub struct OptiwiseRun {
 ///
 /// Recovery behaviour, in order:
 ///
-/// 1. A pass truncated by its instruction budget is re-run with the budget
-///    escalated per `config.retry` (injected aborts and execution faults
-///    are deterministic and never retried).
+/// 1. Each pass runs once with the largest budget `config.retry`
+///    escalates to, so a pass the first budget would cut is given the
+///    escalated budget (injected aborts and execution faults are
+///    deterministic and never escalate).
 /// 2. A sampling profile that stays truncated is still used (partial
 ///    cycles), unless `strict` or `!allow_partial`.
 /// 3. A counts profile that stays truncated is *discarded* — truncated
@@ -598,7 +609,7 @@ pub fn run_optiwise_ctl(
         };
 
     // The two passes are independent executions of the same program with
-    // their own process images and retry loops, so they can overlap. Errors
+    // their own process images, so they can overlap. Errors
     // are reported in the fixed pass order (sampling first) regardless of
     // which thread failed first, keeping failures deterministic too.
     //
@@ -717,7 +728,6 @@ pub fn run_optiwise_ctl(
 mod tests {
     use super::*;
     use crate::analysis::AnalysisMode;
-    use wiser_sim::TruncationReason;
     use wiser_isa::assemble;
 
     fn counted_loop() -> Module {
@@ -740,10 +750,278 @@ mod tests {
         .unwrap()
     }
 
+    /// [`counted_loop`], but ending in a jump outside mapped code instead
+    /// of the exit syscall: both passes stop with an execution fault.
+    fn faulting_loop() -> Module {
+        assemble(
+            "fl",
+            r#"
+            .func _start global
+                li x8, 5000
+                li x9, 0
+            loop:
+                addi x1, x1, 1
+                subi x8, x8, 1
+                bne x8, x9, loop
+                li x1, 1
+                jr x1
+            .endfunc
+            .entry _start
+            "#,
+        )
+        .unwrap()
+    }
+
+    /// The replay loop the single execution replaced, kept as its
+    /// reference: run at `budget`, and while the pass ends in a budget cut
+    /// the policy allows escalating, run it again from instruction zero.
+    /// `attempt` returns the pass output, the instructions it spent and
+    /// how it was cut short.
+    fn replay<T>(
+        retry: &RetryPolicy,
+        mut budget: u64,
+        mut attempt: impl FnMut(u64) -> (T, u64, Option<TruncationReason>),
+    ) -> (T, u32) {
+        let mut attempts = 0u32;
+        let mut spent = 0u64;
+        loop {
+            attempts += 1;
+            let (result, used, truncated) = attempt(budget);
+            spent += used;
+            let escalated = budget.saturating_mul(retry.budget_multiplier);
+            match truncated {
+                Some(reason)
+                    if reason.retryable()
+                        && attempts <= retry.max_retries
+                        && spent.saturating_add(escalated) <= retry.max_total_insns =>
+                {
+                    budget = escalated;
+                }
+                _ => return (result, attempts),
+            }
+        }
+    }
+
+    /// Both passes through [`replay`], fused by the runner from the
+    /// restored profiles.
+    fn reference_run(modules: &[Module], cfg: &OptiwiseConfig) -> OptiwiseRun {
+        let load = LoadConfig {
+            aslr_seed: Some(cfg.aslr_seeds.0),
+            ..LoadConfig::default()
+        };
+        let image = ProcessImage::load(modules, &load).unwrap();
+        let sampler_cfg = SamplerConfig {
+            fault: cfg.fault,
+            ..cfg.sampler
+        };
+        let (samples, sample_attempts) = replay(&cfg.retry, cfg.max_insns, |budget| {
+            let ctl = SamplePassControl::default();
+            let (samples, timed) =
+                sample_run_ctl(&image, cfg.rand_seed, cfg.core, sampler_cfg, budget, ctl).unwrap();
+            let truncated = samples.truncated.clone();
+            (samples, timed.stats.retired, truncated)
+        });
+        let (image, _) = instrumentation_image(modules, cfg).unwrap();
+        let (counts, count_attempts) = replay(&cfg.retry, cfg.max_insns, |budget| {
+            let dbi_cfg = DbiConfig {
+                rand_seed: cfg.fault.desync_rand_seed.unwrap_or(cfg.rand_seed),
+                max_insns: budget,
+                fault: cfg.fault,
+                ..cfg.dbi.clone()
+            };
+            let counts =
+                instrument_run_ctl(&image, &dbi_cfg, CountsPassControl::default()).unwrap();
+            let (spent, truncated) = (counts.total_insns(), counts.truncated.clone());
+            (counts, spent, truncated)
+        });
+        let ctl = RunControl {
+            resume: ResumeState {
+                samples: Some(samples),
+                counts: Some(counts),
+            },
+            ..RunControl::default()
+        };
+        let mut run = run_optiwise_ctl(modules, cfg, ctl).unwrap();
+        run.attempts = (sample_attempts, count_attempts);
+        run
+    }
+
+    fn assert_matches_reference(module: &Module, cfg: &OptiwiseConfig) {
+        let modules = std::slice::from_ref(module);
+        let got = run_optiwise(modules, cfg).unwrap();
+        let want = reference_run(modules, cfg);
+        let case = format!(
+            "{}: max_insns {}, {:?}, abort at {:?}/{:?}",
+            module.name,
+            cfg.max_insns,
+            cfg.retry,
+            cfg.fault.abort_sample_at,
+            cfg.fault.truncate_counts_at,
+        );
+        assert_eq!(got.samples, want.samples, "{case}");
+        assert_eq!(got.counts, want.counts, "{case}");
+        assert_eq!(got.attempts, want.attempts, "{case}");
+        assert_eq!(
+            crate::report::full_report(&got.analysis, 20),
+            crate::report::full_report(&want.analysis, 20),
+            "{case}"
+        );
+    }
+
+    /// Every policy of the sweeps: 0–2 escalations at 2x and 4x.
+    fn policies() -> impl Iterator<Item = RetryPolicy> {
+        (0..=2).flat_map(|max_retries| {
+            [2, 4].map(|budget_multiplier| RetryPolicy {
+                max_retries,
+                budget_multiplier,
+                ..RetryPolicy::default()
+            })
+        })
+    }
+
+    /// The sweep programs with their instruction count before they stop.
+    fn sweep_programs() -> Vec<(Module, u64)> {
+        [counted_loop(), faulting_loop()]
+            .into_iter()
+            .map(|m| {
+                let run = run_optiwise(std::slice::from_ref(&m), &OptiwiseConfig::default());
+                let len = run.unwrap().timed.stats.retired;
+                (m, len)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn budget_ladder_escalates_within_the_total_cap() {
+        let policy = RetryPolicy::default();
+        assert_eq!(budget_ladder(&policy, 8_000), vec![8_000, 32_000]);
+        let two = RetryPolicy {
+            max_retries: 2,
+            ..policy
+        };
+        assert_eq!(budget_ladder(&two, 8_000), vec![8_000, 32_000, 128_000]);
+        // The cap sums rung budgets: 8k + 32k fits 40k exactly, 39_999
+        // does not.
+        for (cap, rungs) in [(40_000, 2), (39_999, 1), (168_000, 3), (167_999, 2)] {
+            let capped = RetryPolicy {
+                max_total_insns: cap,
+                ..two
+            };
+            assert_eq!(budget_ladder(&capped, 8_000).len(), rungs, "cap {cap}");
+        }
+        // A multiplier that cannot grow the budget never escalates.
+        for budget_multiplier in [0, 1] {
+            let flat = RetryPolicy {
+                budget_multiplier,
+                ..two
+            };
+            assert_eq!(budget_ladder(&flat, 8_000), vec![8_000]);
+        }
+        let none = RetryPolicy {
+            max_retries: 0,
+            ..policy
+        };
+        assert_eq!(budget_ladder(&none, 8_000), vec![8_000]);
+    }
+
+    #[test]
+    fn single_execution_matches_replay_across_budgets() {
+        for (module, len) in sweep_programs() {
+            for retry in policies() {
+                let budgets = (len - 2..=len + 2).chain([len / 4 - 1, len / 4 + 1]);
+                for max_insns in budgets {
+                    let cfg = OptiwiseConfig {
+                        max_insns,
+                        retry,
+                        ..OptiwiseConfig::default()
+                    };
+                    assert_matches_reference(&module, &cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_execution_matches_replay_at_injected_cuts() {
+        for (module, len) in sweep_programs() {
+            for retry in policies() {
+                let max_insns = len / 4 - 1;
+                for rung in budget_ladder(&retry, max_insns) {
+                    for at in [rung - 1, rung, rung + 1] {
+                        let mut cfg = OptiwiseConfig {
+                            max_insns,
+                            retry,
+                            ..OptiwiseConfig::default()
+                        };
+                        cfg.fault.abort_sample_at = Some(at);
+                        cfg.fault.truncate_counts_at = Some(at);
+                        assert_matches_reference(&module, &cfg);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_execution_matches_replay_under_total_caps() {
+        for (module, len) in sweep_programs() {
+            for retry in policies() {
+                let max_insns = len / 4 - 1;
+                let mut sum = 0;
+                for rung in budget_ladder(&retry, max_insns) {
+                    sum += rung;
+                    for max_total_insns in [sum - rung, sum, sum + rung] {
+                        let cfg = OptiwiseConfig {
+                            max_insns,
+                            retry: RetryPolicy {
+                                max_total_insns,
+                                ..retry
+                            },
+                            ..OptiwiseConfig::default()
+                        };
+                        assert_matches_reference(&module, &cfg);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoints_advance_monotonically_through_budget_escalation() {
+        use std::sync::Mutex;
+        // The 8k first budget cuts both passes; their one execution at the
+        // escalated budget must not restart the checkpoint sequence.
+        let seen = Mutex::new((Vec::new(), Vec::new()));
+        let observer = |ev: PassEvent<'_>| {
+            let mut s = seen.lock().unwrap();
+            match ev {
+                PassEvent::SampleCheckpoint { retired, .. } => s.0.push(retired),
+                PassEvent::CountsCheckpoint { retired, .. } => s.1.push(retired),
+                _ => {}
+            }
+        };
+        let ctl = RunControl {
+            checkpoint_every: 2_000,
+            observer: Some(&observer),
+            ..RunControl::default()
+        };
+        let cfg = OptiwiseConfig {
+            max_insns: 8_000,
+            ..OptiwiseConfig::default()
+        };
+        let run = run_optiwise_ctl(&[counted_loop()], &cfg, ctl).unwrap();
+        assert_eq!(run.attempts, (2, 2));
+        let (samples, counts) = seen.into_inner().unwrap();
+        for retired in [samples, counts] {
+            assert!(retired.len() >= 2, "{retired:?}");
+            assert!(retired.windows(2).all(|w| w[0] < w[1]), "{retired:?}");
+        }
+    }
+
     #[test]
     fn budget_retry_recovers_truncated_passes() {
-        // ~15k instructions needed; first attempt's 8k budget truncates,
-        // the 4x-escalated retry completes.
+        // ~15k instructions needed; the 8k first budget would cut both
+        // passes, so each runs once at the 4x-escalated budget.
         let cfg = OptiwiseConfig {
             max_insns: 8_000,
             ..OptiwiseConfig::default()
@@ -761,7 +1039,7 @@ mod tests {
         let mut cfg = OptiwiseConfig::default();
         cfg.fault.truncate_counts_at = Some(5_000);
         let run = run_optiwise(&[counted_loop()], &cfg).unwrap();
-        // Injected aborts are deterministic: no retry is spent on them.
+        // Injected aborts are deterministic: no escalation is spent on them.
         assert_eq!(run.attempts.1, 1);
         assert_eq!(run.counts.truncated, Some(TruncationReason::Injected(5_000)));
         assert_eq!(run.analysis.mode, AnalysisMode::SamplingOnly);
@@ -830,10 +1108,10 @@ mod tests {
 
     #[test]
     fn total_insn_cap_makes_final_truncation_stand() {
-        // ~15k instructions needed. The 8k first attempt truncates; the
-        // default policy would retry at 32k and succeed, but the 20k
-        // aggregate cap forbids spending 8k + 32k, so the budget truncation
-        // stands as non-retryable and the run degrades to sampling-only.
+        // ~15k instructions needed. The 8k first budget truncates; the
+        // default policy would escalate to 32k and succeed, but the 20k
+        // cap on the ladder's rung sum forbids 8k + 32k, so the budget
+        // truncation stands and the run degrades to sampling-only.
         let cfg = OptiwiseConfig {
             max_insns: 8_000,
             retry: RetryPolicy {
@@ -847,7 +1125,7 @@ mod tests {
         assert_eq!(run.counts.truncated, Some(TruncationReason::InsnLimit(8_000)));
         assert_eq!(run.analysis.mode, AnalysisMode::SamplingOnly);
 
-        // Same workload with a permissive cap retries and completes.
+        // Same workload with a permissive cap escalates and completes.
         let cfg = OptiwiseConfig {
             max_insns: 8_000,
             ..OptiwiseConfig::default()

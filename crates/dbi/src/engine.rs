@@ -171,8 +171,8 @@ pub fn instrument_run_ctl(
     let effective_max = injected_limit.map_or(cfg.max_insns, |n| n.min(cfg.max_insns));
     // When the injection point ties with the instruction budget, the
     // injected fault wins the label: `Injected` is deterministic and
-    // non-retryable, while `InsnLimit` would make the caller's retry loop
-    // escalate the budget and replay a cut that can never move.
+    // non-retryable, while `InsnLimit` would make the caller escalate the
+    // budget past a cut that can never move.
     let limit_reason = |hit: u64| match injected_limit {
         Some(inj) if hit == inj => TruncationReason::Injected(inj),
         _ => TruncationReason::InsnLimit(hit),

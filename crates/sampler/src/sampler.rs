@@ -424,8 +424,8 @@ pub fn sample_run_ctl(
     // Relabel a budget cut at the fault plan's abort point: it is an
     // injected (deterministic, non-retryable) abort, not a real limit. The
     // injection wins even when it ties with the configured budget —
-    // labelling the tie `InsnLimit` would make the retry loop re-run a
-    // fault that recurs at any budget.
+    // labelling the tie `InsnLimit` would make the runner escalate the
+    // budget past a fault that recurs at any budget.
     if let (Some(TruncationReason::InsnLimit(hit)), Some(inj)) = (&truncated, injected_limit) {
         if *hit == inj {
             truncated = Some(TruncationReason::Injected(inj));

@@ -57,10 +57,10 @@ impl fmt::Display for TruncationReason {
 }
 
 impl TruncationReason {
-    /// Whether re-running with a larger instruction budget could complete
-    /// the pass. Injected aborts and execution faults are deterministic —
-    /// they recur at any budget — and a cancellation is a request to stop,
-    /// which a retry would defy.
+    /// Whether a larger instruction budget could complete the pass.
+    /// Injected aborts and execution faults are deterministic — they recur
+    /// at any budget — and a cancellation is a request to stop, which
+    /// escalating the budget would defy.
     pub fn retryable(&self) -> bool {
         matches!(self, TruncationReason::InsnLimit(_))
     }

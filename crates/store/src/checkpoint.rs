@@ -150,8 +150,9 @@ impl CheckpointSpec {
     }
 
     /// Reconstructs the pipeline configuration of the interrupted run.
-    /// `jobs` is the resume invocation's thread count — it does not affect
-    /// output, so it is not part of the spec.
+    /// `jobs` is the resume invocation's thread count (above 1 the two
+    /// passes overlap) — it does not affect output, so it is not part of
+    /// the spec.
     ///
     /// # Errors
     ///
@@ -173,7 +174,6 @@ impl CheckpointSpec {
             },
             analysis: optiwise::AnalysisOptions {
                 merge_threshold: self.merge_threshold,
-                jobs,
             },
             rand_seed: self.rand_seed,
             max_insns: self.max_insns,
@@ -738,7 +738,6 @@ mod tests {
         assert_eq!(cfg.rand_seed, 7);
         assert_eq!(cfg.sampler.period, 2048);
         assert_eq!(cfg.analysis.merge_threshold, Some(16));
-        assert_eq!(cfg.analysis.jobs, 4);
         assert!(cfg.concurrent_passes);
         assert!(!s.to_config(1).unwrap().concurrent_passes);
 

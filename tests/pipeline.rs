@@ -71,7 +71,6 @@ fn loop_merge_heuristic_matches_table1() {
     let mut cfg = config(512, Attribution::Interrupt);
     cfg.analysis = AnalysisOptions {
         merge_threshold: None,
-        ..AnalysisOptions::default()
     };
     let raw = run_optiwise(&modules, &cfg).unwrap();
     assert_eq!(raw.analysis.loops().len(), 5, "one loop per back edge");

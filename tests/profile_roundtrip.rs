@@ -41,9 +41,10 @@ fn stored_bytes_are_identical_for_every_thread_count() {
         .unwrap();
     let mut images = Vec::new();
     for jobs in [1usize, 2, 8] {
-        let mut cfg = OptiwiseConfig::default();
-        cfg.analysis.jobs = jobs;
-        cfg.concurrent_passes = jobs > 1;
+        let cfg = OptiwiseConfig {
+            concurrent_passes: jobs > 1,
+            ..OptiwiseConfig::default()
+        };
         let run = run_optiwise(&modules, &cfg).unwrap();
         images.push(StoredProfile::from_run("recip_loop", &run, 0, "xeon", wiser_sim::CoreConfig::xeon_like()).to_bytes());
     }

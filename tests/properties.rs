@@ -406,8 +406,8 @@ fn placement_recovery_matches_exhaustive_on_generated_seeds() {
 }
 
 /// The full pipeline, with placement on, joins to the same analysis as an
-/// exhaustive run — at analysis jobs 1 and 8 (with concurrent passes in the
-/// parallel case). A spread of corpus seeds keeps the timed sampling pass
+/// exhaustive run — with sequential passes (`--jobs 1`) and with concurrent
+/// ones (`--jobs 8`). A spread of corpus seeds keeps the timed sampling pass
 /// affordable; the whole range is covered functionally above and by the
 /// `selfcheck --seed-range 0..40` CI gate.
 #[test]
@@ -425,9 +425,10 @@ fn pipeline_placement_is_jobs_invariant_on_generated_seeds() {
         assert!(exhaustive.counts.placement.is_none());
 
         for jobs in [1usize, 8] {
-            let mut cfg = OptiwiseConfig::default();
-            cfg.analysis.jobs = jobs;
-            cfg.concurrent_passes = jobs > 1;
+            let cfg = OptiwiseConfig {
+                concurrent_passes: jobs > 1,
+                ..OptiwiseConfig::default()
+            };
             let run = run_optiwise(&modules, &cfg).unwrap();
             let placement = run
                 .counts
